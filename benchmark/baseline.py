@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Record the benchmark baseline in benchmark/BASELINE.json.
 
-Runs every workload of BENCHMARK.json untraced on ten seeds and traced on
-one, through the command BENCHMARK.json names, and records per metric the
-median, the quartiles (Python's statistics.quantiles(values, n=4)) and the
-spread (interquartile range over the median), plus the traced layer split
-and the host. Run it from the repository root:
+Runs every workload of BENCHMARK.json untraced on ten seeds, twice (two
+sets, one after the other, all workloads per set), then untraced on one
+fixed seed several times (host noise), then traced on one seed, through
+the command BENCHMARK.json names. It records per metric and set the median,
+the quartiles (Python's statistics.quantiles(values, n=4)) and the spread
+(interquartile range over the median), how far the second set's median of
+each gated metric moved from the first's against its bound, the traced
+layer split, and the host. Run it from the repository root:
 
-    python3 benchmark/baseline.py [--seeds 1,2,...] [--traced-seed 42]
+    python3 benchmark/baseline.py [--seeds 1,2,...] [--sets 2]
+        [--noise-seed 42] [--noise-runs 5] [--traced-seed 42]
 """
 
 import argparse
@@ -67,47 +71,93 @@ def shell(argv):
         return None
 
 
+def summarize_runs(runs, gated):
+    metrics = {}
+    for metric in sorted({k for r in runs for k in r["report"]}):
+        values = [r["report"][metric]["value"] for r in runs
+                  if metric in r["report"]]
+        entry = summary(values)
+        entry["unit"] = next(r["report"][metric]["unit"] for r in runs
+                             if metric in r["report"])
+        if metric in gated:
+            entry["bound"] = gated[metric]["bound"]
+        metrics[metric] = entry
+    return metrics
+
+
+def run_list(runs):
+    return [{"seed": r["seed"], "wall_s": r["wall_s"],
+             "fingerprint": fingerprint(r["notes"]),
+             "correct": r["result"]["correct"],
+             "attempted": r["result"]["attempted"],
+             "failed": r["result"]["failed"]} for r in runs]
+
+
+def agreement(first, second, gated):
+    """How far each gated median of the second set moved from the first's,
+    signed so that positive is worse, against the metric's bound."""
+    out = {}
+    for name, spec in gated.items():
+        a, b = first[name]["median"], second[name]["median"]
+        worse = (b - a) / a if spec["better"] == "lower" else (a - b) / a
+        out[name] = {"first_median": a, "second_median": b,
+                     "worse_by": worse, "bound": spec["bound"],
+                     "within_bound": worse <= spec["bound"],
+                     "spreads": [first[name]["spread"], second[name]["spread"]]}
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
+    parser.add_argument("--sets", type=int, default=2)
+    parser.add_argument("--noise-seed", type=int, default=42)
+    parser.add_argument("--noise-runs", type=int, default=5)
     parser.add_argument("--traced-seed", type=int, default=42)
     parser.add_argument("--out", default="benchmark/BASELINE.json")
     args = parser.parse_args()
     with open("BENCHMARK.json", encoding="utf-8") as f:
         spec = json.load(f)
     seeds = [int(s) for s in args.seeds.split(",")]
-    gated = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    gated = {m["name"]: m for m in spec["end_to_end"]}
+    names = [w["name"] for w in spec["workloads"]]
+
+    def runs_of(name, seed_list, trace, label):
+        runs = []
+        for seed in seed_list:
+            r = run(spec["command"], name, seed, spec["run_seconds"], trace)
+            runs.append(r)
+            print(f"{label} {name} seed {seed}: {r['wall_s']} s, correct "
+                  f"{r['result']['correct']}", file=sys.stderr)
+        return runs
+
+    sets = {name: [] for name in names}
+    for k in range(args.sets):
+        for name in names:
+            sets[name].append(runs_of(name, seeds, 0, f"set {k + 1}"))
+    noise = {name: runs_of(name, [args.noise_seed] * args.noise_runs, 0,
+                           "noise")
+             for name in names}
 
     workloads = {}
     for w in spec["workloads"]:
         name = w["name"]
-        runs = []
-        for seed in seeds:
-            r = run(spec["command"], name, seed, spec["run_seconds"], 0)
-            runs.append(r)
-            print(f"{name} seed {seed}: {r['wall_s']} s, correct "
-                  f"{r['result']['correct']}", file=sys.stderr)
-        metrics = {}
-        for metric in sorted({k for r in runs for k in r["report"]}):
-            values = [r["report"][metric]["value"] for r in runs
-                      if metric in r["report"]]
-            entry = summary(values)
-            entry["unit"] = runs[0]["report"].get(metric, {}).get("unit")
-            if metric in gated:
-                entry["bound"] = gated[metric]
-            metrics[metric] = entry
-        traced = run(spec["command"], name, args.traced_seed,
-                     spec["run_seconds"], 1)
+        summaries = [summarize_runs(runs, gated) for runs in sets[name]]
+        traced = runs_of(name, [args.traced_seed], 1, "traced")[0]
         workloads[name] = {
             "why": w["why"],
-            "untraced_runs": [{"seed": r["seed"], "wall_s": r["wall_s"],
-                               "fingerprint": fingerprint(r["notes"]),
-                               "correct": r["result"]["correct"],
-                               "attempted": r["result"]["attempted"],
-                               "failed": r["result"]["failed"]}
-                              for r in runs],
-            "metrics": metrics,
-            "notes_seed": {"seed": runs[0]["seed"], "notes": runs[0]["notes"]},
+            "sets": [{"untraced_runs": run_list(runs), "metrics": summ}
+                     for runs, summ in zip(sets[name], summaries)],
+            "agreement": (agreement(summaries[0], summaries[1], gated)
+                          if len(summaries) > 1 else None),
+            "host_noise": {"seed": args.noise_seed,
+                           "untraced_runs": run_list(noise[name]),
+                           "metrics": {k: v for k, v in
+                                       summarize_runs(noise[name],
+                                                      gated).items()
+                                       if k in gated}},
+            "notes_seed": {"seed": sets[name][0][0]["seed"],
+                           "notes": sets[name][0][0]["notes"]},
             "traced": {"seed": traced["seed"],
                        "correct": traced["result"]["correct"],
                        "layers": {k: v["value"] for k, v in

@@ -12,14 +12,16 @@ use crate::Args;
 use charles_core::{evaluate_recovery, CharlesConfig, Query, Session};
 use std::time::{Duration, Instant};
 
+/// Timed ingests of the pair after each op, outside its latency, so that
+/// `setup_s` samples the host over the same window as the ops.
+const INGESTS_PER_OP: usize = 3;
+
 /// Run a cold workload on `rows` rows. `attribute_default` adds the
 /// default (assistant-chosen) query to the traced pass.
 pub fn run(args: &Args, rows: usize, attribute_default: bool) -> Result<Outcome, String> {
     let mut out = Outcome::new();
     let tracer = Tracer::new(args.trace);
-    let (prepared, setup_s) = data::prepare_repeated(rows, args.seed)?;
-    out.set("setup_s", "s", setup_s);
-    set_relation(&mut out, &prepared);
+    let (prepared, mut ingests) = data::prepare(rows, args.seed, data::SETUP_REPEATS)?;
     let pair = &prepared.pair;
     let query = data::shortlisted_query();
 
@@ -51,7 +53,8 @@ pub fn run(args: &Args, rows: usize, attribute_default: bool) -> Result<Outcome,
     ));
 
     // The timed loop. In the traced pass every other op records spans,
-    // so the pass measures its own overhead against the untraced ops.
+    // and its latency includes the recording, so the pass measures its
+    // own overhead against the untraced ops.
     let window = Duration::from_secs_f64(args.seconds);
     let started = Instant::now();
     let (mut traced, mut untraced) = (Vec::new(), Vec::new());
@@ -71,16 +74,16 @@ pub fn run(args: &Args, rows: usize, attribute_default: bool) -> Result<Outcome,
         let counters = session.as_ref().ok().map(Session::stats);
         drop(session);
         let t3 = Instant::now();
-        out.attempted += 1;
         if args.trace && op % 2 == 1 {
             let parent = tracer.record("cold_op", op, None, t0, t3);
             tracer.record("Session::open", op, parent, t0, t1);
             tracer.record("Session::run", op, parent, t1, t2);
             tracer.record("Session::drop", op, parent, t2, t3);
-            traced.push(ms(t3 - t0));
+            traced.push(ms(t0.elapsed()));
         } else {
             untraced.push(ms(t3 - t0));
         }
+        out.attempted += 1;
         match result {
             Ok(result) => {
                 match Ranking::of_summaries(&result.summaries).verdict(&expected) {
@@ -107,8 +110,12 @@ pub fn run(args: &Args, rows: usize, attribute_default: bool) -> Result<Outcome,
             labelings.push(c.labelings_computed as f64);
             computed.push(c.candidates_computed as f64);
         }
+        for _ in 0..INGESTS_PER_OP {
+            ingests.sample(&prepared)?;
+        }
         op += 1;
     }
+    set_relation(&mut out, &prepared, &ingests);
     if out.failed > 0 {
         out.fail_check(format!("{} of {} ops failed", out.failed, out.attempted));
     }
@@ -243,10 +250,17 @@ const NOT_SERVED: [(&str, &str); 17] = [
     ("loadgen.sent.mixed", "count"),
 ];
 
-/// Record the relation-layer numbers of a preparation.
-pub fn set_relation(out: &mut Outcome, prepared: &data::Prepared) {
-    out.set("relation.read_csv_ms", "ms", prepared.read_csv_ms);
-    out.set("relation.align_ms", "ms", prepared.align_ms);
+/// Record `setup_s` and the relation-layer numbers of a run's ingests.
+pub fn set_relation(out: &mut Outcome, prepared: &data::Prepared, ingests: &data::IngestTimes) {
+    let listed: Vec<String> = ingests
+        .total_ms()
+        .iter()
+        .map(|v| format!("{v:.1}"))
+        .collect();
+    out.note(format!("ingest times (ms): {}", listed.join(" ")));
+    out.set_opt("setup_s", "s", ingests.setup_s());
+    out.set_opt("relation.read_csv_ms", "ms", ingests.read_csv_ms());
+    out.set_opt("relation.align_ms", "ms", ingests.align_ms());
     out.set("relation.csv_bytes", "B", prepared.csv_bytes() as f64);
 }
 

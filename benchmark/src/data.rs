@@ -2,6 +2,7 @@
 //! CSV text and read back the way a user's files would be.
 
 use crate::metrics::ms;
+use crate::stats::median;
 use charles_core::{Query, TruthRule};
 use charles_relation::{read_csv, write_csv, SnapshotPair, Table};
 use std::time::Instant;
@@ -13,8 +14,8 @@ pub const CONDITION_ATTRS: [&str; 3] = ["department", "grade", "division"];
 /// The shortlisted transformation attributes.
 pub const TRANSFORM_ATTRS: [&str; 2] = ["base_salary", "overtime_pay"];
 
-/// Times a run repeats its set-up to report a median `setup_s`.
-pub const SETUP_REPEATS: usize = 9;
+/// Timed ingests of a run's pair before its measured window.
+pub const SETUP_REPEATS: usize = 5;
 
 /// The shortlisted query every timed op asks.
 pub fn shortlisted_query() -> Query {
@@ -33,12 +34,6 @@ pub struct Prepared {
     pub target_csv: String,
     /// The latent policy, as truth rules for `evaluate_recovery`.
     pub truth: Vec<TruthRule>,
-    /// Wall time of the whole preparation.
-    pub total_ms: f64,
-    /// Wall time of parsing both CSV texts.
-    pub read_csv_ms: f64,
-    /// Wall time of aligning the pair on its key.
-    pub align_ms: f64,
 }
 
 impl Prepared {
@@ -48,49 +43,84 @@ impl Prepared {
     }
 }
 
-/// Generate the county pair for `seed`, write both snapshots to CSV text,
-/// parse them back and align them on `name`.
-pub fn prepare(rows: usize, seed: u64) -> Result<Prepared, String> {
-    let started = Instant::now();
-    let scenario = charles_synth::county(rows, seed);
-    let source_csv = to_csv(&scenario.source)?;
-    let target_csv = to_csv(&scenario.target)?;
+/// Wall times of the timed ingests of one pair: parse both CSV texts and
+/// align them on `name`, as a user's upload does.
+#[derive(Debug, Default)]
+pub struct IngestTimes {
+    read_ms: Vec<f64>,
+    align_ms: Vec<f64>,
+    total_ms: Vec<f64>,
+}
+
+impl IngestTimes {
+    /// Ingest `prepared`'s CSV text once more, timed, and drop the pair.
+    pub fn sample(&mut self, prepared: &Prepared) -> Result<(), String> {
+        ingest(&prepared.source_csv, &prepared.target_csv, self).map(drop)
+    }
+
+    /// Median ingest time in seconds: the workload's `setup_s`.
+    pub fn setup_s(&self) -> Option<f64> {
+        median(&self.total_ms).map(|m| m / 1e3)
+    }
+
+    /// Every ingest's wall time, in order.
+    pub fn total_ms(&self) -> &[f64] {
+        &self.total_ms
+    }
+
+    /// Median time of parsing both CSV texts.
+    pub fn read_csv_ms(&self) -> Option<f64> {
+        median(&self.read_ms)
+    }
+
+    /// Median time of aligning the pair.
+    pub fn align_ms(&self) -> Option<f64> {
+        median(&self.align_ms)
+    }
+}
+
+fn ingest(
+    source_csv: &str,
+    target_csv: &str,
+    times: &mut IngestTimes,
+) -> Result<SnapshotPair, String> {
     let parse = Instant::now();
     let source = read_csv(source_csv.as_bytes()).map_err(|e| format!("read source CSV: {e}"))?;
     let target = read_csv(target_csv.as_bytes()).map_err(|e| format!("read target CSV: {e}"))?;
-    let read_csv_ms = ms(parse.elapsed());
     let align = Instant::now();
     let pair = SnapshotPair::align_on(source, target, "name").map_err(|e| format!("align: {e}"))?;
-    let align_ms = ms(align.elapsed());
+    let done = Instant::now();
+    times.read_ms.push(ms(align - parse));
+    times.align_ms.push(ms(done - align));
+    times.total_ms.push(ms(done - parse));
+    Ok(pair)
+}
+
+/// Generate the county pair for `seed` and write both snapshots to CSV
+/// text, untimed; then ingest the text `repeats` times, timed, keeping
+/// the last pair.
+pub fn prepare(rows: usize, seed: u64, repeats: usize) -> Result<(Prepared, IngestTimes), String> {
+    let scenario = charles_synth::county(rows, seed);
+    let source_csv = to_csv(&scenario.source)?;
+    let target_csv = to_csv(&scenario.target)?;
+    let mut times = IngestTimes::default();
+    let mut pair = ingest(&source_csv, &target_csv, &mut times)?;
+    for _ in 1..repeats {
+        pair = ingest(&source_csv, &target_csv, &mut times)?;
+    }
     let truth = scenario
         .policy
         .rule_pairs()
         .into_iter()
         .map(|(condition, expr)| TruthRule { condition, expr })
         .collect();
-    Ok(Prepared {
+    let prepared = Prepared {
         pair,
         source_csv,
         target_csv,
         truth,
-        total_ms: ms(started.elapsed()),
-        read_csv_ms,
-        align_ms,
-    })
-}
-
-/// Prepare the pair [`SETUP_REPEATS`] times; returns the last preparation
-/// and the median set-up time in seconds.
-pub fn prepare_repeated(rows: usize, seed: u64) -> Result<(Prepared, f64), String> {
-    let mut times = Vec::with_capacity(SETUP_REPEATS);
-    let mut last = None;
-    for _ in 0..SETUP_REPEATS {
-        let prepared = prepare(rows, seed)?;
-        times.push(prepared.total_ms / 1e3);
-        last = Some(prepared);
-    }
-    let setup_s = crate::stats::median(&times).ok_or("no set-up ran")?;
-    Ok((last.ok_or("no set-up ran")?, setup_s))
+    };
+    Ok((prepared, times))
 }
 
 fn to_csv(table: &Table) -> Result<String, String> {

@@ -39,8 +39,6 @@ pub struct Args {
     pub seconds: f64,
     /// Traced pass (per-layer metrics) instead of the untraced one.
     pub trace: bool,
-    /// Row-count override (tests run tiny pairs); `None` = the workload's.
-    pub rows: Option<usize>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -49,7 +47,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seed: 42,
         seconds: 20.0,
         trace: false,
-        rows: None,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -67,7 +64,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     other => return Err(format!("--trace takes 0 or 1, not {other:?}")),
                 }
             }
-            "--rows" => args.rows = Some(value()?.parse().map_err(|e| format!("--rows: {e}"))?),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -86,9 +82,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// Run one workload to its outcome.
 pub fn run(args: &Args) -> Result<Outcome, String> {
     match args.workload.as_str() {
-        "county-cold-4k" => cold::run(args, args.rows.unwrap_or(4_000), true),
-        "county-cold-16k" => cold::run(args, args.rows.unwrap_or(16_000), false),
-        "county-served-4k" => served::run(args, args.rows.unwrap_or(4_000)),
+        "county-cold-4k" => cold::run(args, 4_000, true),
+        "county-cold-16k" => cold::run(args, 16_000, false),
+        "county-served-4k" => served::run(args, 4_000),
         other => Err(format!("unknown workload {other:?}")),
     }
 }
@@ -147,16 +143,22 @@ mod tests {
         ("top_ari", "ratio"),
     ];
 
+    /// Rows of the smoke runs' pairs.
+    const SMOKE_ROWS: usize = 240;
+
     /// A tiny-row run of `workload` in both passes emits every metric
     /// name with its unit, and every answer checks out.
-    fn smoke(workload: &str, report: &[(&str, &str)]) {
+    fn smoke(
+        workload: &str,
+        report: &[(&str, &str)],
+        run: impl Fn(&Args) -> Result<Outcome, String>,
+    ) {
         for trace in [false, true] {
             let args = Args {
                 workload: workload.to_string(),
                 seed: 3,
                 seconds: 1.0,
                 trace,
-                rows: Some(240),
             };
             let outcome = run(&args).expect("smoke run");
             let text = outcome
@@ -196,17 +198,23 @@ mod tests {
 
     #[test]
     fn smoke_county_cold_4k() {
-        smoke("county-cold-4k", &REPORT_COLD);
+        smoke("county-cold-4k", &REPORT_COLD, |a| {
+            cold::run(a, SMOKE_ROWS, true)
+        });
     }
 
     #[test]
     fn smoke_county_cold_16k() {
-        smoke("county-cold-16k", &REPORT_COLD);
+        smoke("county-cold-16k", &REPORT_COLD, |a| {
+            cold::run(a, SMOKE_ROWS, false)
+        });
     }
 
     #[test]
     fn smoke_county_served_4k() {
-        smoke("county-served-4k", &REPORT_SERVED);
+        smoke("county-served-4k", &REPORT_SERVED, |a| {
+            served::run(a, SMOKE_ROWS)
+        });
     }
 
     fn argv(s: &str) -> Vec<String> {

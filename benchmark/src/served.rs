@@ -56,6 +56,9 @@ const ALPHAS: [f64; 3] = [0.25, 0.5, 0.75];
 const ALPHA_OVERRIDE: f64 = 0.7;
 /// Fresh pairs the write op uploads in turn (seeds `seed+1`, …).
 const INGEST_PAIRS: u64 = 1;
+/// Timed ingests of the pair once the lanes are done, so that `setup_s`
+/// samples the host at both ends of the run.
+const LATE_INGESTS: usize = 10;
 /// How long after the window the lanes may drain before requests still
 /// unsent count as failed.
 const DRAIN: Duration = Duration::from_secs(30);
@@ -190,11 +193,9 @@ fn sweep_check(expected: &[Ranking]) -> impl FnOnce(&Json) -> Answer + '_ {
 pub fn run(args: &Args, rows: usize) -> Result<Outcome, String> {
     let mut out = Outcome::new();
     let tracer = Tracer::new(args.trace);
-    let (prepared, setup_s) = data::prepare_repeated(rows, args.seed)?;
-    out.set("setup_s", "s", setup_s);
-    set_relation(&mut out, &prepared);
+    let (prepared, mut ingests) = data::prepare(rows, args.seed, data::SETUP_REPEATS)?;
     let ingest: Vec<Prepared> = (1..=INGEST_PAIRS)
-        .map(|i| data::prepare(rows, args.seed + i))
+        .map(|i| data::prepare(rows, args.seed + i, 1).map(|(p, _)| p))
         .collect::<Result<_, _>>()?;
 
     // References.
@@ -293,6 +294,10 @@ pub fn run(args: &Args, rows: usize) -> Result<Outcome, String> {
 
     let (light, heavy, last_query_body) = run_lanes(args, addr, &expected, &bodies, &tracer)?;
     summarize(&mut out, &light, &heavy);
+    for _ in 0..LATE_INGESTS {
+        ingests.sample(&prepared)?;
+    }
+    set_relation(&mut out, &prepared, &ingests);
     out.set(
         "threads_used",
         "count",
@@ -416,6 +421,9 @@ fn run_lanes(
         if traced_request(tracer, idx) {
             tracer.record(light_span(kind), idx, None, t0, Instant::now());
         }
+        response
+    };
+    let mut check_light = |&(kind, _, _): &(Light, usize, u64), response| {
         let (answer, body) = judge(response, |doc| match kind {
             Light::Query => ranking_check(&expected.query)(doc),
             Light::Sweep => sweep_check(&expected.sweep)(doc),
@@ -445,11 +453,15 @@ fn run_lanes(
     let deadline = start + half + DRAIN;
     let (mut light, heavy) = std::thread::scope(|scope| {
         let heavy = scope.spawn(|| {
-            run_open_loop(start, deadline, &heavy_schedule, |item| {
-                heavy_op(&mut heavy_client, *item, expected, bodies, tracer)
-            })
+            run_open_loop(
+                start,
+                deadline,
+                &heavy_schedule,
+                |item| heavy_op(&mut heavy_client, *item, expected, bodies, tracer),
+                |_, answer| answer,
+            )
         });
-        let light = run_open_loop(start, deadline, mixed, &mut send_light);
+        let light = run_open_loop(start, deadline, mixed, &mut send_light, &mut check_light);
         (light, heavy.join())
     });
     let heavy = heavy.map_err(|_| "the heavy lane panicked".to_string())?;
@@ -459,6 +471,7 @@ fn run_lanes(
         start + half + DRAIN,
         ladder,
         &mut send_light,
+        &mut check_light,
     ));
     Ok((light, heavy, last_query_body))
 }
