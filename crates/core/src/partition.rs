@@ -134,25 +134,34 @@ pub fn cluster_residuals(
 // ---------------------------------------------------------------------------
 // Decision-tree induction over condition attributes
 // ---------------------------------------------------------------------------
+//
+// Split search scores every candidate split from label counts alone and
+// builds row vectors only for the winner. Per node and condition
+// attribute it makes one counting pass over the node's rows — a label
+// histogram per dictionary code (or per value), or one sort plus one
+// sweep with running label counts for a numeric attribute — and then
+// scores each candidate split from its histogram and the parent's. The
+// cost per node is O(rows × attrs) for the count pass (O(rows · log rows)
+// for the sort of a numeric attribute) plus O(thresholds × labels) for
+// scoring, where a categorical attribute offers at most
+// `MAX_CATEGORIES` splits and a numeric one at most `MAX_THRESHOLDS`.
 
-/// Gini impurity of the label multiset at `rows`; rows labelled
-/// [`OUTLIER_LABEL`] are invisible to the impurity.
-fn gini(labels: &[usize], rows: &[usize], n_labels: usize) -> f64 {
-    let mut counts = vec![0usize; n_labels];
-    let mut n = 0usize;
-    for &r in rows {
-        if labels[r] != OUTLIER_LABEL {
-            counts[labels[r]] += 1;
-            n += 1;
-        }
-    }
-    if n == 0 {
+/// Numeric split thresholds evaluated per attribute per node: larger nodes
+/// evaluate every `⌈boundaries / MAX_THRESHOLDS⌉`-th boundary.
+const MAX_THRESHOLDS: usize = 32;
+
+/// Categorical attributes with more distinct values (the null group
+/// included) at a node offer no split there.
+const MAX_CATEGORIES: usize = 24;
+
+/// Gini impurity of a label histogram whose counts sum to `labelled`.
+fn gini_of(counts: impl Iterator<Item = usize>, labelled: usize) -> f64 {
+    if labelled == 0 {
         return 0.0;
     }
     1.0 - counts
-        .iter()
-        .map(|&c| {
-            let p = c as f64 / n as f64;
+        .map(|c| {
+            let p = c as f64 / labelled as f64;
             p * p
         })
         // lint:allow(float-fold-order: Gini over a handful of label counts, fixed slice order)
@@ -176,12 +185,98 @@ fn is_pure(labels: &[usize], rows: &[usize]) -> bool {
     true
 }
 
-/// A candidate binary split.
+/// The label histogram of a row set. Rows labelled [`OUTLIER_LABEL`]
+/// count toward `rows` — and so toward `min_leaf` — but are invisible to
+/// the impurity.
+struct Tally {
+    /// All rows, outliers included.
+    rows: usize,
+    /// Rows per label.
+    counts: Vec<usize>,
+}
+
+impl Tally {
+    fn new(n_labels: usize) -> Tally {
+        Tally {
+            rows: 0,
+            counts: vec![0; n_labels],
+        }
+    }
+
+    fn add(&mut self, label: usize) {
+        self.rows += 1;
+        if label != OUTLIER_LABEL {
+            self.counts[label] += 1;
+        }
+    }
+}
+
+/// A node's tally with its impurity, against which splits are scored.
+struct Node {
+    tally: Tally,
+    /// Rows carrying a (non-outlier) label: the sum of the counts.
+    labelled: usize,
+    gini: f64,
+}
+
+impl Node {
+    fn new(labels: &[usize], rows: &[usize], n_labels: usize) -> Node {
+        let mut tally = Tally::new(n_labels);
+        for &r in rows {
+            tally.add(labels[r]);
+        }
+        let labelled = tally.counts.iter().sum();
+        Node {
+            gini: gini_of(tally.counts.iter().copied(), labelled),
+            tally,
+            labelled,
+        }
+    }
+
+    /// Impurity decrease of sending the rows tallied in `yes` one way and
+    /// the rest of the node the other, or `None` when either side has
+    /// fewer than `min_leaf` rows.
+    fn gain(&self, yes: &Tally, min_leaf: usize) -> Option<f64> {
+        let no_rows = self.tally.rows - yes.rows;
+        if yes.rows < min_leaf || no_rows < min_leaf {
+            return None;
+        }
+        let yes_labelled: usize = yes.counts.iter().sum();
+        let no = self
+            .tally
+            .counts
+            .iter()
+            .zip(&yes.counts)
+            .map(|(all, y)| all - y);
+        let n = self.tally.rows as f64;
+        let child = (yes.rows as f64 / n) * gini_of(yes.counts.iter().copied(), yes_labelled)
+            + (no_rows as f64 / n) * gini_of(no, self.labelled - yes_labelled);
+        Some(self.gini - child)
+    }
+}
+
+/// Which rows of a node a scored split sends to its `yes` side.
+enum Route {
+    /// Rows with this dictionary code.
+    Code(u32),
+    /// Rows with this value (non-dictionary columns).
+    Value(Value),
+    /// Rows with a value below this threshold.
+    Below(f64),
+}
+
+/// The best split one attribute offers at a node.
+struct Scored {
+    descriptor: Descriptor,
+    route: Route,
+    gain: f64,
+}
+
+/// A chosen binary split with its rows.
 struct Split {
     descriptor: Descriptor,
     yes: Vec<usize>,
     no: Vec<usize>,
-    gain: f64,
 }
 
 /// Pick the roundest threshold `t` such that `x < t` partitions identically
@@ -203,145 +298,169 @@ fn nice_threshold(below: f64, above: f64) -> f64 {
     best
 }
 
-/// The distinct values of a categorical column over a row subset, each
-/// with its rows (in row order). Dictionary-encoded columns group by
-/// integer code — no string hashing; the string is materialized once per
-/// distinct value for the descriptor. Falls back to value hashing only for
-/// non-dictionary categoricals (booleans). The null group, when present,
-/// carries `Value::Null`.
-fn categorical_groups(col: &Column, rows: &[usize]) -> Vec<(Value, Vec<usize>)> {
-    if let Some(view) = col.codes_view() {
-        const UNSEEN: usize = usize::MAX;
-        let mut slot_of_code = vec![UNSEEN; view.dict_len()];
-        let mut null_slot = UNSEEN;
-        let mut groups: Vec<(Value, Vec<usize>)> = Vec::new();
-        for &r in rows {
-            let slot = match view.code(r) {
-                Some(code) => {
-                    let slot = &mut slot_of_code[code as usize];
-                    if *slot == UNSEEN {
-                        *slot = groups.len();
-                        groups.push((col.get(r), Vec::new()));
-                    }
-                    *slot
-                }
-                None => {
-                    if null_slot == UNSEEN {
-                        null_slot = groups.len();
-                        groups.push((Value::Null, Vec::new()));
-                    }
-                    null_slot
-                }
-            };
-            groups[slot].1.push(r);
-        }
-        groups
-    } else {
-        // BTree-grouped so the emitted groups come out in `Value` order —
-        // hash order here would make split enumeration (and any
-        // score-tie winner downstream) vary run to run.
-        let mut by_value: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
-        for &r in rows {
-            by_value.entry(col.get(r)).or_default().push(r);
-        }
-        by_value.into_iter().collect()
+/// Keep `candidate` if it is the first with the strictly greatest gain
+/// above the noise floor.
+fn offer(best: &mut Option<Scored>, gain: f64, candidate: impl FnOnce() -> (Descriptor, Route)) {
+    if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
+        let (descriptor, route) = candidate();
+        *best = Some(Scored {
+            descriptor,
+            route,
+            gain,
+        });
     }
 }
 
-/// Enumerate candidate splits for one attribute at a node.
-fn splits_for_attr(
-    attr: &AttrRef,
+/// One distinct value of a categorical column at a node, with the
+/// tally of its rows.
+struct Group {
+    value: Value,
+    code: Option<u32>,
+    tally: Tally,
+}
+
+/// The distinct values of a categorical column over a node's rows, in
+/// first-appearance order; the null group, when present, carries
+/// `Value::Null`. Dictionary-encoded columns count by code with no string
+/// hashing; non-dictionary categoricals (booleans) group by `Value` in a
+/// `BTreeMap`. `None` when there are more than [`MAX_CATEGORIES`] groups.
+fn categorical_groups(
     col: &Column,
     labels: &[usize],
     rows: &[usize],
     n_labels: usize,
-    min_leaf: usize,
-) -> Vec<Split> {
-    let parent_gini = gini(labels, rows, n_labels);
-    let n = rows.len() as f64;
-    let mut out = Vec::new();
-
-    if col.dtype().is_numeric() {
-        // Sort node rows by attribute value; thresholds between adjacent
-        // distinct values.
-        let mut vals: Vec<(f64, usize)> = rows
-            .iter()
-            .filter_map(|&r| col.get_f64(r).map(|v| (v, r)))
-            .collect();
-        if vals.len() < rows.len() {
-            return out; // nulls present: skip numeric splits on this attr
+) -> Option<Vec<Group>> {
+    let Some(view) = col.codes_view() else {
+        let mut by_value: BTreeMap<Value, Tally> = BTreeMap::new();
+        for &r in rows {
+            by_value
+                .entry(col.get(r))
+                .or_insert_with(|| Tally::new(n_labels))
+                .add(labels[r]);
         }
-        vals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut boundaries: Vec<(f64, f64)> = Vec::new();
-        for w in vals.windows(2) {
-            if w[0].0 < w[1].0 {
-                boundaries.push((w[0].0, w[1].0));
-            }
+        if by_value.len() > MAX_CATEGORIES {
+            return None;
         }
-        // Cap the number of evaluated thresholds on large nodes.
-        const MAX_THRESHOLDS: usize = 32;
-        let step = boundaries.len().div_ceil(MAX_THRESHOLDS).max(1);
-        for (below, above) in boundaries.into_iter().step_by(step) {
-            let threshold = nice_threshold(below, above);
-            let mut yes = Vec::new();
-            let mut no = Vec::new();
-            for &(v, r) in &vals {
-                if v < threshold {
-                    yes.push(r);
-                } else {
-                    no.push(r);
-                }
+        let group = |(value, tally)| Group {
+            value,
+            code: None,
+            tally,
+        };
+        return Some(by_value.into_iter().map(group).collect());
+    };
+    const UNSEEN: usize = usize::MAX;
+    let mut slot_of_code = vec![UNSEEN; view.dict_len()];
+    let mut null_slot = UNSEEN;
+    let mut groups: Vec<Group> = Vec::new();
+    for &r in rows {
+        let code = view.code(r);
+        let slot = match code {
+            Some(c) => &mut slot_of_code[c as usize],
+            None => &mut null_slot,
+        };
+        if *slot == UNSEEN {
+            if groups.len() == MAX_CATEGORIES {
+                return None;
             }
-            if yes.len() < min_leaf || no.len() < min_leaf {
-                continue;
-            }
-            let child = (yes.len() as f64 / n) * gini(labels, &yes, n_labels)
-                + (no.len() as f64 / n) * gini(labels, &no, n_labels);
-            out.push(Split {
-                descriptor: Descriptor::LessThan {
-                    attr: attr.clone(),
-                    threshold,
-                },
-                yes,
-                no,
-                gain: parent_gini - child,
+            *slot = groups.len();
+            groups.push(Group {
+                value: col.get(r),
+                code,
+                tally: Tally::new(n_labels),
             });
         }
-    } else {
-        // Categorical: one-vs-rest equality splits per distinct value,
-        // grouped by dictionary code.
-        let mut groups = categorical_groups(col, rows);
-        if groups.len() < 2 || groups.len() > 24 {
-            return out; // unsplittable or too high-cardinality
-        }
-        groups.sort_by(|a, b| a.0.cmp(&b.0)); // determinism
-        for (value, yes) in groups {
-            if value.is_null() {
-                continue;
-            }
-            let yes_set: std::collections::HashSet<usize> = yes.iter().copied().collect();
-            let no: Vec<usize> = rows
-                .iter()
-                .copied()
-                .filter(|r| !yes_set.contains(r))
-                .collect();
-            if yes.len() < min_leaf || no.len() < min_leaf {
-                continue;
-            }
-            let child = (yes.len() as f64 / n) * gini(labels, &yes, n_labels)
-                + (no.len() as f64 / n) * gini(labels, &no, n_labels);
-            out.push(Split {
-                descriptor: Descriptor::Equals {
-                    attr: attr.clone(),
-                    value,
-                },
-                yes,
-                no,
-                gain: parent_gini - child,
-            });
-        }
+        groups[*slot].tally.add(labels[r]);
     }
-    out
+    Some(groups)
+}
+
+/// The best one-vs-rest `Equals` split on a categorical attribute,
+/// scanning the distinct non-null values in `Value` order.
+fn best_equals_split(
+    attr: &AttrRef,
+    col: &Column,
+    labels: &[usize],
+    rows: &[usize],
+    node: &Node,
+    min_leaf: usize,
+) -> Option<Scored> {
+    let groups = categorical_groups(col, labels, rows, node.tally.counts.len())?;
+    if groups.len() < 2 {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_by(|&a, &b| groups[a].value.cmp(&groups[b].value));
+    let mut best = None;
+    for g in order {
+        let group = &groups[g];
+        if group.value.is_null() {
+            continue;
+        }
+        let Some(gain) = node.gain(&group.tally, min_leaf) else {
+            continue;
+        };
+        offer(&mut best, gain, || {
+            let descriptor = Descriptor::Equals {
+                attr: attr.clone(),
+                value: group.value.clone(),
+            };
+            let route = match group.code {
+                Some(code) => Route::Code(code),
+                None => Route::Value(group.value.clone()),
+            };
+            (descriptor, route)
+        });
+    }
+    best
+}
+
+/// The best `LessThan` split on a numeric attribute, over every
+/// `MAX_THRESHOLDS`-stepped boundary between adjacent distinct values.
+/// An attribute with a null at the node offers no split.
+fn best_threshold_split(
+    attr: &AttrRef,
+    col: &Column,
+    labels: &[usize],
+    rows: &[usize],
+    node: &Node,
+    min_leaf: usize,
+) -> Option<Scored> {
+    let mut vals: Vec<(f64, usize)> = Vec::with_capacity(rows.len());
+    for &r in rows {
+        vals.push((col.get_f64(r)?, labels[r]));
+    }
+    vals.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    // `ends[i]` is the length of the sorted prefix left of boundary `i`.
+    let ends: Vec<usize> = (1..vals.len())
+        .filter(|&i| vals[i - 1].0 < vals[i].0)
+        .collect();
+    let step = ends.len().div_ceil(MAX_THRESHOLDS).max(1);
+    // Every threshold lies in `(below, above]`, so `x < threshold` holds
+    // for exactly the non-NaN values of the prefix: a NaN is never below
+    // a threshold, and negative NaNs sort first.
+    let mut yes = Tally::new(node.tally.counts.len());
+    let mut swept = 0;
+    let mut best = None;
+    for &end in ends.iter().step_by(step) {
+        for &(v, l) in &vals[swept..end] {
+            if !v.is_nan() {
+                yes.add(l);
+            }
+        }
+        swept = end;
+        let Some(gain) = node.gain(&yes, min_leaf) else {
+            continue;
+        };
+        offer(&mut best, gain, || {
+            let threshold = nice_threshold(vals[end - 1].0, vals[end].0);
+            let descriptor = Descriptor::LessThan {
+                attr: attr.clone(),
+                threshold,
+            };
+            (descriptor, Route::Below(threshold))
+        });
+    }
+    best
 }
 
 /// Resolve a condition attribute to its column: interned ids index
@@ -357,6 +476,38 @@ fn column_of<'t>(table: &'t Table, attr: &AttrRef) -> Option<&'t Column> {
     table.column_by_name(attr.name()).ok()
 }
 
+/// The split with the strictly greatest gain — the first in attribute,
+/// then threshold order, among equals — and the column it splits.
+fn best_scored<'t>(
+    table: &'t Table,
+    cond_attrs: &[AttrRef],
+    labels: &[usize],
+    rows: &[usize],
+    n_labels: usize,
+    min_leaf: usize,
+) -> Option<(Scored, &'t Column)> {
+    let node = Node::new(labels, rows, n_labels);
+    let mut best: Option<(Scored, &Column)> = None;
+    for attr in cond_attrs {
+        let Some(col) = column_of(table, attr) else {
+            continue;
+        };
+        let scored = if col.dtype().is_numeric() {
+            best_threshold_split(attr, col, labels, rows, &node, min_leaf)
+        } else {
+            best_equals_split(attr, col, labels, rows, &node, min_leaf)
+        };
+        if let Some(s) = scored {
+            if best.as_ref().is_none_or(|(b, _)| s.gain > b.gain) {
+                best = Some((s, col));
+            }
+        }
+    }
+    best
+}
+
+/// The [`best_scored`] split with the node's rows divided between its
+/// sides, in node order.
 fn best_split(
     table: &Table,
     cond_attrs: &[AttrRef],
@@ -365,18 +516,22 @@ fn best_split(
     n_labels: usize,
     min_leaf: usize,
 ) -> Option<Split> {
-    let mut best: Option<Split> = None;
-    for attr in cond_attrs {
-        let Some(col) = column_of(table, attr) else {
-            continue;
-        };
-        for split in splits_for_attr(attr, col, labels, rows, n_labels, min_leaf) {
-            if split.gain > 1e-12 && best.as_ref().is_none_or(|b| split.gain > b.gain) {
-                best = Some(split);
-            }
+    let (scored, col) = best_scored(table, cond_attrs, labels, rows, n_labels, min_leaf)?;
+    let (yes, no) = match scored.route {
+        Route::Code(code) => {
+            let view = col.codes_view()?;
+            rows.iter().partition(|&&r| view.code(r) == Some(code))
         }
-    }
-    best
+        Route::Value(value) => rows.iter().partition(|&&r| col.get(r) == value),
+        Route::Below(threshold) => rows
+            .iter()
+            .partition(|&&r| col.get_f64(r).is_some_and(|v| v < threshold)),
+    };
+    Some(Split {
+        descriptor: scored.descriptor,
+        yes,
+        no,
+    })
 }
 
 /// Remove redundant descriptors from a root-to-leaf path:
@@ -461,6 +616,21 @@ pub fn induce_partitions(
     labels: &[usize],
     config: &CharlesConfig,
 ) -> Result<Vec<PartitionSpec>> {
+    grow_partitions(table, cond_attrs, labels, config, best_split)
+}
+
+/// A node's split search: [`best_split`], or the row-based oracle the
+/// tests pin it against.
+type SplitSearch = fn(&Table, &[AttrRef], &[usize], &[usize], usize, usize) -> Option<Split>;
+
+/// [`induce_partitions`] with the split search as a parameter.
+fn grow_partitions(
+    table: &Table,
+    cond_attrs: &[AttrRef],
+    labels: &[usize],
+    config: &CharlesConfig,
+    split_search: SplitSearch,
+) -> Result<Vec<PartitionSpec>> {
     let n = table.height();
     let all_rows: Vec<usize> = (0..n).collect();
     let n_labels = labels
@@ -497,7 +667,7 @@ pub fn induce_partitions(
         let split = if stop {
             None
         } else {
-            best_split(table, cond_attrs, labels, &node.rows, n_labels, min_leaf)
+            split_search(table, cond_attrs, labels, &node.rows, n_labels, min_leaf)
         };
         match split {
             Some(s) => {
@@ -754,5 +924,402 @@ mod tests {
             "NotEquals should be dropped: {rendered:?}"
         );
         assert_eq!(simplified.len(), 2);
+    }
+
+    /// The row-based split search that [`best_split`] replaced, kept as
+    /// its oracle: Gini from row lists, one `HashSet` per categorical
+    /// value, and fresh yes/no vectors per numeric threshold.
+    mod oracle {
+        use super::super::{column_of, nice_threshold, Split, OUTLIER_LABEL};
+        use crate::condition::Descriptor;
+        use charles_relation::{AttrRef, Column, Table, Value};
+        use std::collections::BTreeMap;
+
+        /// Gini impurity of the label multiset at `rows`; rows labelled
+        /// [`OUTLIER_LABEL`] are invisible to the impurity.
+        pub fn gini(labels: &[usize], rows: &[usize], n_labels: usize) -> f64 {
+            let mut counts = vec![0usize; n_labels];
+            let mut n = 0usize;
+            for &r in rows {
+                if labels[r] != OUTLIER_LABEL {
+                    counts[labels[r]] += 1;
+                    n += 1;
+                }
+            }
+            if n == 0 {
+                return 0.0;
+            }
+            1.0 - counts
+                .iter()
+                .map(|&c| {
+                    let p = c as f64 / n as f64;
+                    p * p
+                })
+                .sum::<f64>()
+        }
+
+        fn categorical_groups(col: &Column, rows: &[usize]) -> Vec<(Value, Vec<usize>)> {
+            if let Some(view) = col.codes_view() {
+                const UNSEEN: usize = usize::MAX;
+                let mut slot_of_code = vec![UNSEEN; view.dict_len()];
+                let mut null_slot = UNSEEN;
+                let mut groups: Vec<(Value, Vec<usize>)> = Vec::new();
+                for &r in rows {
+                    let slot = match view.code(r) {
+                        Some(code) => {
+                            let slot = &mut slot_of_code[code as usize];
+                            if *slot == UNSEEN {
+                                *slot = groups.len();
+                                groups.push((col.get(r), Vec::new()));
+                            }
+                            *slot
+                        }
+                        None => {
+                            if null_slot == UNSEEN {
+                                null_slot = groups.len();
+                                groups.push((Value::Null, Vec::new()));
+                            }
+                            null_slot
+                        }
+                    };
+                    groups[slot].1.push(r);
+                }
+                groups
+            } else {
+                let mut by_value: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
+                for &r in rows {
+                    by_value.entry(col.get(r)).or_default().push(r);
+                }
+                by_value.into_iter().collect()
+            }
+        }
+
+        fn splits_for_attr(
+            attr: &AttrRef,
+            col: &Column,
+            labels: &[usize],
+            rows: &[usize],
+            n_labels: usize,
+            min_leaf: usize,
+        ) -> Vec<(Split, f64)> {
+            let parent_gini = gini(labels, rows, n_labels);
+            let n = rows.len() as f64;
+            let mut out = Vec::new();
+            let mut push = |descriptor, yes: Vec<usize>, no: Vec<usize>| {
+                let child = (yes.len() as f64 / n) * gini(labels, &yes, n_labels)
+                    + (no.len() as f64 / n) * gini(labels, &no, n_labels);
+                out.push((
+                    Split {
+                        descriptor,
+                        yes,
+                        no,
+                    },
+                    parent_gini - child,
+                ));
+            };
+            if col.dtype().is_numeric() {
+                let mut vals: Vec<(f64, usize)> = rows
+                    .iter()
+                    .filter_map(|&r| col.get_f64(r).map(|v| (v, r)))
+                    .collect();
+                if vals.len() < rows.len() {
+                    return out;
+                }
+                vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let mut boundaries: Vec<(f64, f64)> = Vec::new();
+                for w in vals.windows(2) {
+                    if w[0].0 < w[1].0 {
+                        boundaries.push((w[0].0, w[1].0));
+                    }
+                }
+                let step = boundaries.len().div_ceil(32).max(1);
+                for (below, above) in boundaries.into_iter().step_by(step) {
+                    let threshold = nice_threshold(below, above);
+                    let mut yes = Vec::new();
+                    let mut no = Vec::new();
+                    for &(v, r) in &vals {
+                        if v < threshold {
+                            yes.push(r);
+                        } else {
+                            no.push(r);
+                        }
+                    }
+                    if yes.len() < min_leaf || no.len() < min_leaf {
+                        continue;
+                    }
+                    let attr = attr.clone();
+                    push(Descriptor::LessThan { attr, threshold }, yes, no);
+                }
+            } else {
+                let mut groups = categorical_groups(col, rows);
+                if groups.len() < 2 || groups.len() > 24 {
+                    return out;
+                }
+                groups.sort_by(|a, b| a.0.cmp(&b.0));
+                for (value, yes) in groups {
+                    if value.is_null() {
+                        continue;
+                    }
+                    let yes_set: std::collections::HashSet<usize> = yes.iter().copied().collect();
+                    let no: Vec<usize> = rows
+                        .iter()
+                        .copied()
+                        .filter(|r| !yes_set.contains(r))
+                        .collect();
+                    if yes.len() < min_leaf || no.len() < min_leaf {
+                        continue;
+                    }
+                    let attr = attr.clone();
+                    push(Descriptor::Equals { attr, value }, yes, no);
+                }
+            }
+            out
+        }
+
+        /// The winning split and its gain.
+        pub fn best_split(
+            table: &Table,
+            cond_attrs: &[AttrRef],
+            labels: &[usize],
+            rows: &[usize],
+            n_labels: usize,
+            min_leaf: usize,
+        ) -> Option<(Split, f64)> {
+            let mut best: Option<(Split, f64)> = None;
+            for attr in cond_attrs {
+                let Some(col) = column_of(table, attr) else {
+                    continue;
+                };
+                for (split, gain) in splits_for_attr(attr, col, labels, rows, n_labels, min_leaf) {
+                    if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.1) {
+                        best = Some((split, gain));
+                    }
+                }
+            }
+            best
+        }
+
+        /// [`best_split`] in the shape `grow_partitions` takes.
+        pub fn split_search(
+            table: &Table,
+            cond_attrs: &[AttrRef],
+            labels: &[usize],
+            rows: &[usize],
+            n_labels: usize,
+            min_leaf: usize,
+        ) -> Option<Split> {
+            best_split(table, cond_attrs, labels, rows, n_labels, min_leaf).map(|(s, _)| s)
+        }
+    }
+
+    #[test]
+    fn count_gini_matches_row_gini_bit_for_bit() {
+        let labels = [0, 1, 1, 2, OUTLIER_LABEL, 2, 2, 0, OUTLIER_LABEL, 1, 3, 3];
+        let subsets: [&[usize]; 6] = [
+            &[],
+            &[4, 8],
+            &[0],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+            &[1, 2, 4, 9],
+            &[3, 5, 6, 10, 0, 8],
+        ];
+        for rows in subsets {
+            let node = Node::new(&labels, rows, 4);
+            assert_eq!(
+                node.gini.to_bits(),
+                oracle::gini(&labels, rows, 4).to_bits(),
+                "rows {rows:?}"
+            );
+            assert_eq!(node.tally.rows, rows.len());
+        }
+        // Empty and all-outlier nodes have zero impurity, as row lists do.
+        assert_eq!(gini_of([0, 0].into_iter(), 0).to_bits(), 0f64.to_bits());
+        assert_eq!(Node::new(&labels, &[4, 8], 4).labelled, 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Count-based Gini equals the row-based Gini bit for bit on
+        /// random label multisets with outliers, including the empty and
+        /// all-outlier ones.
+        #[test]
+        fn count_gini_matches_row_gini_on_random_labels(
+            labels in proptest::collection::vec(0usize..6, 0..40),
+            n_labels in 1usize..6,
+        ) {
+            let labels: Vec<usize> = labels
+                .into_iter()
+                .map(|l| if l >= n_labels { OUTLIER_LABEL } else { l })
+                .collect();
+            let rows: Vec<usize> = (0..labels.len()).collect();
+            let node = Node::new(&labels, &rows, n_labels);
+            proptest::prop_assert_eq!(
+                node.gini.to_bits(),
+                oracle::gini(&labels, &rows, n_labels).to_bits()
+            );
+        }
+    }
+
+    /// One generated row: `((dept, wide, grade), (pay, flag, label))`.
+    type GenRow = ((u8, u8, i64), (u8, bool, u8));
+
+    /// Build a table with ties everywhere: `dept` (5 values, and a null
+    /// group when `dept_nulls`) and its copy `dept2`, `wide` (up to 30 values), `grade` and
+    /// its copy `grade2` (7 integers), `pay` (floats with ±0.0, nulls when
+    /// `pay_nulls`, NaNs of both signs when `pay_nan`) and the bool `flag`. Labels are
+    /// 0–2, with code 7 standing for [`OUTLIER_LABEL`].
+    fn gen_table(
+        rows: &[GenRow],
+        dept_nulls: bool,
+        pay_nulls: bool,
+        pay_nan: bool,
+    ) -> (Table, Vec<usize>) {
+        use charles_relation::DataType;
+        let dept: Vec<Value> = rows
+            .iter()
+            .map(|((d, _, _), _)| match d {
+                5 if dept_nulls => Value::Null,
+                d => Value::str(format!("d{d}")),
+            })
+            .collect();
+        let wide: Vec<String> = rows
+            .iter()
+            .map(|((_, w, _), _)| format!("w{w:02}"))
+            .collect();
+        let grade: Vec<i64> = rows.iter().map(|((_, _, g), _)| *g).collect();
+        let pay: Vec<Value> = rows
+            .iter()
+            .map(|(_, (p, _, _))| match p {
+                0 => Value::Float(-0.0),
+                1 => Value::Float(0.0),
+                5 if pay_nan => Value::Float(-f64::NAN),
+                6 if pay_nan => Value::Float(f64::NAN),
+                7 if pay_nulls => Value::Null,
+                p => Value::Float(f64::from(*p) * 1.25),
+            })
+            .collect();
+        let flag: Vec<bool> = rows.iter().map(|(_, (_, f, _))| *f).collect();
+        let labels = rows
+            .iter()
+            .map(|(_, (_, _, l))| {
+                if *l == 7 {
+                    OUTLIER_LABEL
+                } else {
+                    usize::from(*l % 3)
+                }
+            })
+            .collect();
+        let table = TableBuilder::new("gen")
+            .value_col("dept", DataType::Utf8, &dept)
+            .unwrap()
+            .value_col("dept2", DataType::Utf8, &dept)
+            .unwrap()
+            .str_col("wide", &wide)
+            .int_col("grade", &grade)
+            .int_col("grade2", &grade)
+            .value_col("pay", DataType::Float64, &pay)
+            .unwrap()
+            .bool_col("flag", &flag)
+            .build()
+            .unwrap();
+        (table, labels)
+    }
+
+    fn gen_rows() -> impl proptest::strategy::Strategy<Value = Vec<GenRow>> {
+        proptest::collection::vec(
+            (
+                (0u8..6, 0u8..30, -3i64..4),
+                (0u8..8, proptest::prelude::any::<bool>(), 0u8..8),
+            ),
+            0..48,
+        )
+    }
+
+    fn sorted(rows: &[usize]) -> Vec<usize> {
+        let mut rows = rows.to_vec();
+        rows.sort_unstable();
+        rows
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
+
+        /// The count-based split search picks the oracle's split: same
+        /// descriptor, same gain bits, same yes/no row sets — at the root
+        /// and at a random sub-node, over a rotated attribute order.
+        #[test]
+        fn count_split_search_matches_row_oracle(
+            rows in gen_rows(),
+            flags in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>(), 0usize..7),
+            min_leaf in 1usize..8,
+            subset in proptest::collection::vec(proptest::prelude::any::<bool>(), 48),
+        ) {
+            let (pay_nulls, pay_nan, rotate) = flags;
+            let (table, labels) = gen_table(&rows, true, pay_nulls, pay_nan);
+            let mut attrs: Vec<AttrRef> = ["dept", "dept2", "wide", "grade", "grade2", "pay", "flag"]
+                .iter()
+                .map(|&a| table.schema().attr_ref(a).unwrap())
+                .collect();
+            attrs.rotate_left(rotate);
+            let n_labels = 3;
+            let all: Vec<usize> = (0..table.height()).collect();
+            let some: Vec<usize> = all.iter().copied().filter(|&r| subset[r]).collect();
+            for node_rows in [&all, &some] {
+                let got = best_scored(&table, &attrs, &labels, node_rows, n_labels, min_leaf);
+                let split = best_split(&table, &attrs, &labels, node_rows, n_labels, min_leaf);
+                let want = oracle::best_split(&table, &attrs, &labels, node_rows, n_labels, min_leaf);
+                match (got, split, want) {
+                    (None, None, None) => {}
+                    (Some((scored, _)), Some(split), Some((oracle, gain))) => {
+                        let want = format!("{:?}", oracle.descriptor);
+                        proptest::prop_assert_eq!(format!("{:?}", scored.descriptor), want.clone());
+                        proptest::prop_assert_eq!(format!("{:?}", split.descriptor), want);
+                        proptest::prop_assert_eq!(scored.gain.to_bits(), gain.to_bits());
+                        proptest::prop_assert_eq!(sorted(&split.yes), sorted(&oracle.yes));
+                        proptest::prop_assert_eq!(sorted(&split.no), sorted(&oracle.no));
+                    }
+                    (got, split, want) => proptest::prop_assert!(
+                        false,
+                        "winner presence differs: scored {} split {} oracle {}",
+                        got.is_some(),
+                        split.is_some(),
+                        want.is_some()
+                    ),
+                }
+            }
+        }
+
+        /// Whole trees agree: `induce_partitions` returns the same
+        /// partitions as the tree grown by the oracle split search. No
+        /// categorical nulls here: a null row on the `≠` side of a split
+        /// matches neither the tree path nor its re-verified condition,
+        /// with either split search.
+        #[test]
+        fn induced_partitions_match_row_oracle(
+            rows in gen_rows(),
+            pay_nulls in proptest::prelude::any::<bool>(),
+            fraction_idx in 0usize..4,
+            depth in 1usize..5,
+        ) {
+            let (table, labels) = gen_table(&rows, false, pay_nulls, false);
+            let config = CharlesConfig {
+                min_partition_fraction: [0.0, 0.05, 0.1, 0.25][fraction_idx],
+                max_tree_depth: depth,
+                ..CharlesConfig::default()
+            };
+            let attrs: Vec<AttrRef> = ["dept", "wide", "grade", "pay", "flag", "dept2", "grade2"]
+                .iter()
+                .map(|&a| AttrRef::from(a))
+                .collect();
+            let render = |specs: Vec<PartitionSpec>| -> Vec<(String, Vec<usize>)> {
+                specs.into_iter().map(|s| (format!("{:?}", s.condition), s.rows)).collect()
+            };
+            let got = render(induce_partitions(&table, &attrs, &labels, &config).unwrap());
+            let want = render(
+                grow_partitions(&table, &attrs, &labels, &config, oracle::split_search).unwrap(),
+            );
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

@@ -1070,25 +1070,29 @@ pub fn evaluate_candidate_naive(
 }
 
 /// Evaluate all candidates (in parallel when configured), deduplicate, and
-/// rank by descending score.
+/// rank by descending score. The result depends only on the inputs, not on
+/// the thread count or thread timing.
 pub fn run_search(
     ctx: &SearchContext<'_>,
     candidates: &[Candidate],
 ) -> Result<(Vec<ChangeSummary>, SearchStats)> {
     let threads = ctx.config.effective_threads().min(candidates.len().max(1));
-    let results: Mutex<Vec<ChangeSummary>> = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
-    let first_error: Mutex<Option<CharlesError>> = Mutex::new(None);
-
-    if threads <= 1 {
-        let mut local = Vec::new();
-        for candidate in candidates {
-            if let Some(summary) = evaluate_candidate(ctx, candidate)? {
-                local.push(summary);
-            }
-        }
-        *results.lock().unwrap_or_else(PoisonError::into_inner) = local;
+    // One slot per candidate: workers file each summary under its
+    // candidate's index, so everything below reads them in candidate
+    // order whichever thread finished first.
+    let slots: Vec<Option<ChangeSummary>> = if threads <= 1 {
+        candidates
+            .iter()
+            .map(|candidate| evaluate_candidate(ctx, candidate))
+            .collect::<Result<_>>()?
     } else {
+        let slots: Mutex<Vec<Option<ChangeSummary>>> =
+            Mutex::new(candidates.iter().map(|_| None).collect());
+        let next = AtomicUsize::new(0);
+        // The failing candidate with the lowest index: every lower index
+        // was claimed first and still gets evaluated, so this is the error
+        // a serial run stops at.
+        let first_error: Mutex<Option<(usize, CharlesError)>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
@@ -1099,49 +1103,52 @@ pub fn run_search(
                             break;
                         }
                         match evaluate_candidate(ctx, &candidates[i]) {
-                            Ok(Some(summary)) => local.push(summary),
+                            Ok(Some(summary)) => local.push((i, summary)),
                             Ok(None) => {}
                             Err(e) => {
                                 let mut slot =
                                     first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                                if slot.is_none() {
-                                    *slot = Some(e);
+                                if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                                    *slot = Some((i, e));
                                 }
                                 break;
                             }
                         }
                     }
-                    results
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .extend(local);
+                    let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                    for (i, summary) in local {
+                        slots[i] = Some(summary);
+                    }
                 });
             }
         });
-        if let Some(e) = first_error
+        if let Some((_, e)) = first_error
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
         {
             return Err(e);
         }
-    }
+        slots.into_inner().unwrap_or_else(PoisonError::into_inner)
+    };
+    let evaluated = slots.iter().flatten().count();
 
-    let mut all = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let evaluated = all.len();
-
-    // Deduplicate by structural signature, keeping the best-scoring copy.
-    let mut best: HashMap<String, ChangeSummary> = HashMap::with_capacity(all.len());
-    for summary in all.drain(..) {
+    // Deduplicate by structural signature in candidate order, keeping the
+    // best-scoring copy and, among equal scores, the earliest candidate's.
+    // Copies with one signature can still differ in descriptor order and
+    // `condition_attrs`, so which one survives must not depend on timing.
+    let mut ranked: Vec<ChangeSummary> = Vec::with_capacity(evaluated);
+    let mut index_of: HashMap<String, usize> = HashMap::with_capacity(evaluated);
+    for summary in slots.into_iter().flatten() {
         let sig = summary.signature();
-        match best.get(&sig) {
-            Some(existing) if existing.scores.score >= summary.scores.score => {}
-            _ => {
-                best.insert(sig, summary);
+        match index_of.get(&sig) {
+            Some(&i) if ranked[i].scores.score >= summary.scores.score => {}
+            Some(&i) => ranked[i] = summary,
+            None => {
+                index_of.insert(sig, ranked.len());
+                ranked.push(summary);
             }
         }
     }
-    // lint:allow(ordered-iteration: hash order is erased by the total-order sort below)
-    let mut ranked: Vec<ChangeSummary> = best.into_values().collect();
     let distinct = ranked.len();
     // Tie-breaks below the score: fewer CTs; then autoregressive
     // transformations (explaining the new value in terms of the target's
