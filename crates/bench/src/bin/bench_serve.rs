@@ -17,11 +17,6 @@
 //!   the wire framing — no per-request TCP setup, isolating engine cost
 //!   from connection cost.
 //!
-//! The same CSVs are also registered as a **sharded** dataset
-//! (`DatasetSpec::sharded`, 2 row-range shards) and queried once: its
-//! rankings are asserted byte-identical to the unsharded ones over the
-//! wire — the sharding exactness contract, observed end-to-end.
-//!
 //! Cold and warm rankings are asserted byte-identical (modulo the
 //! `elapsed_ms` timing field), and the binary asserts warm serving is
 //! ≥ 50x cold on the full 4k-row workload (≥ 5x under `--smoke`, which
@@ -29,7 +24,7 @@
 //!
 //! Run: `cargo run --release -p charles-bench --bin bench_serve [--smoke] [rows]`
 
-use charles_core::{DatasetSpec, ManagerConfig, SessionManager};
+use charles_core::{ManagerConfig, SessionManager};
 use charles_server::{
     http_request, HttpClient, Json, Server, ServerConfig, WireQuery, PROTOCOL_VERSION,
 };
@@ -61,19 +56,6 @@ fn main() {
         ManagerConfig::default().with_max_sessions(4),
     ));
     manager.register_csv("county", &source_path, &target_path, Some("name".into()));
-    // The same data served sharded: 2 row-range planes behind one name.
-    let shards = 2usize;
-    manager.register(
-        "county_sharded",
-        DatasetSpec::sharded(
-            DatasetSpec::CsvPair {
-                source: source_path.clone(),
-                target: target_path.clone(),
-                key: Some("name".into()),
-            },
-            shards,
-        ),
-    );
     let mut server = Server::start(
         Arc::clone(&manager),
         ServerConfig::default().with_workers(2),
@@ -153,31 +135,6 @@ fn main() {
         );
     }
 
-    // Sharded serving: the 2-shard registration must answer the identical
-    // bytes (modulo timing) over the wire.
-    let sharded_response = client
-        .request("POST", "/v1/datasets/county_sharded/query", Some(&body))
-        .expect("sharded query");
-    assert!(
-        sharded_response.is_success(),
-        "sharded query: {}",
-        sharded_response.body
-    );
-    assert_eq!(
-        rankings(&sharded_response.body),
-        reference,
-        "sharded dataset diverged from the unsharded ranking"
-    );
-    let sharded_stats = client
-        .request("GET", "/v1/datasets/county_sharded/stats", None)
-        .expect("sharded stats");
-    let shards_on_wire = Json::parse(&sharded_stats.body)
-        .expect("stats JSON")
-        .get("shards")
-        .and_then(Json::as_usize)
-        .expect("shards field");
-    assert_eq!(shards_on_wire, shards, "wire must expose the shard count");
-
     let cold_per_req = cold_total / cold_requests as f64;
     let warm_per_req = warm_total / warm_requests as f64;
     let cold_rps = 1.0 / cold_per_req.max(1e-9);
@@ -186,7 +143,7 @@ fn main() {
 
     let stats = manager.dataset_stats("county").expect("county stats");
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_served\",\n  \"rows\": {rows},\n  \"protocol_version\": {PROTOCOL_VERSION},\n  \"server_workers\": 2,\n  \"smoke\": {smoke},\n  \"cold_requests\": {cold_requests},\n  \"warm_requests\": {warm_requests},\n  \"warm_keep_alive\": true,\n  \"cold_seconds_per_request\": {cold_per_req:.4},\n  \"warm_seconds_per_request\": {warm_per_req:.6},\n  \"cold_requests_per_sec\": {cold_rps:.2},\n  \"warm_requests_per_sec\": {warm_rps:.2},\n  \"served_warm_speedup\": {speedup:.2},\n  \"identical_rankings\": true,\n  \"sharded_dataset_shards\": {shards},\n  \"sharded_rankings_identical\": true,\n  \"dataset_opens\": {},\n  \"dataset_evictions\": {},\n  \"resident_bytes\": {}\n}}\n",
+        "{{\n  \"workload\": \"e5_county_served\",\n  \"rows\": {rows},\n  \"protocol_version\": {PROTOCOL_VERSION},\n  \"server_workers\": 2,\n  \"smoke\": {smoke},\n  \"cold_requests\": {cold_requests},\n  \"warm_requests\": {warm_requests},\n  \"warm_keep_alive\": true,\n  \"cold_seconds_per_request\": {cold_per_req:.4},\n  \"warm_seconds_per_request\": {warm_per_req:.6},\n  \"cold_requests_per_sec\": {cold_rps:.2},\n  \"warm_requests_per_sec\": {warm_rps:.2},\n  \"served_warm_speedup\": {speedup:.2},\n  \"identical_rankings\": true,\n  \"dataset_opens\": {},\n  \"dataset_evictions\": {},\n  \"resident_bytes\": {}\n}}\n",
         stats.opens, stats.evictions, stats.approx_bytes,
     );
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");

@@ -72,14 +72,6 @@ pub enum CharlesError {
     /// The named dataset is not registered with the
     /// [`crate::SessionManager`] asked to serve it.
     UnknownDataset(String),
-    /// Distributed shard execution failed at the transport layer: a worker
-    /// could not be reached (or answered garbage) and no live worker could
-    /// take over the shard's block range. Deliberately distinct from the
-    /// numerics failures a fit can legitimately produce — a transport
-    /// failure must surface as an error, never as "candidate infeasible",
-    /// or the distributed path would silently diverge from the
-    /// in-process one.
-    Distributed(String),
 }
 
 impl fmt::Display for CharlesError {
@@ -98,9 +90,6 @@ impl fmt::Display for CharlesError {
             CharlesError::Query(e) => write!(f, "bad query: {e}"),
             CharlesError::UnknownDataset(name) => {
                 write!(f, "unknown dataset: {name:?} is not registered")
-            }
-            CharlesError::Distributed(msg) => {
-                write!(f, "distributed execution error: {msg}")
             }
         }
     }

@@ -44,7 +44,6 @@
 
 use crate::config::CharlesConfig;
 use crate::error::{CharlesError, Result};
-use crate::executor::ExecutorFactory;
 use crate::session::Session;
 use charles_relation::{read_csv, read_csv_path, SnapshotPair, Table};
 use std::collections::BTreeMap;
@@ -58,6 +57,7 @@ use std::sync::{Arc, Mutex};
 /// Cheap specs (paths, closures) make eviction meaningful: dropping the
 /// session frees the parsed columns and caches, and a later
 /// [`SessionManager::open_or_get`] rebuilds them from the spec.
+#[derive(Clone)]
 pub enum DatasetSpec {
     /// An already-aligned pair, kept resident in the spec itself. Eviction
     /// frees the session's extracted views and caches but not the tables —
@@ -86,41 +86,6 @@ pub enum DatasetSpec {
     },
     /// An arbitrary pair factory (synthetic workloads, other formats).
     Provider(Arc<dyn Fn() -> Result<SnapshotPair> + Send + Sync>),
-    /// Any other spec, served **sharded**: the session opens with
-    /// [`Session::open_sharded_with_config`], so every query fans its
-    /// per-row work across `shards` row-range planes behind this one
-    /// dataset name — with answers byte-identical to the unsharded spec
-    /// (see [`Session::open_sharded`] for the contract). Evicting the
-    /// dataset releases all shard planes at once (they live behind the one
-    /// session).
-    Sharded {
-        /// The spec describing the data itself.
-        inner: Box<DatasetSpec>,
-        /// Number of row-range shards (clamped to ≥ 1; nested `Sharded`
-        /// specs are flattened — the outermost count wins).
-        shards: usize,
-    },
-    /// Any other spec, served **distributed**: the session opens with
-    /// [`Session::open_distributed`], fetching per-shard statistics from
-    /// remote workers through an executor the `connect` factory builds
-    /// once the local pair is open (the serving layer's
-    /// `charles_server::remote_dataset_spec` is the standard way to make
-    /// one). The coordinator still materializes the pair locally from
-    /// `inner` — clustering, induction, and scoring run on merged
-    /// statistics here — and answers stay byte-identical to the unsharded
-    /// spec by the same block-grid merge contract.
-    Remote {
-        /// The spec describing the data itself (the coordinator's copy).
-        inner: Box<DatasetSpec>,
-        /// Worker addresses, for stats and debugging.
-        workers: Vec<String>,
-        /// Row-range shards the executor opens with (`0` = one per
-        /// worker) — recorded here so [`DatasetStats`] reports the same
-        /// count the opened session's layout actually has.
-        shards: usize,
-        /// Builds the executor over those workers for an open pair.
-        connect: ExecutorFactory,
-    },
 }
 
 impl fmt::Debug for DatasetSpec {
@@ -138,90 +103,11 @@ impl fmt::Debug for DatasetSpec {
                 .field("target_len", &target.len())
                 .finish_non_exhaustive(),
             DatasetSpec::Provider(_) => f.write_str("Provider(..)"),
-            DatasetSpec::Sharded { inner, shards } => f
-                .debug_struct("Sharded")
-                .field("inner", inner)
-                .field("shards", shards)
-                .finish(),
-            DatasetSpec::Remote { inner, workers, .. } => f
-                .debug_struct("Remote")
-                .field("inner", inner)
-                .field("workers", workers)
-                .finish_non_exhaustive(),
-        }
-    }
-}
-
-impl Clone for DatasetSpec {
-    fn clone(&self) -> Self {
-        match self {
-            DatasetSpec::Pair(pair) => DatasetSpec::Pair(pair.clone()),
-            DatasetSpec::CsvPair {
-                source,
-                target,
-                key,
-            } => DatasetSpec::CsvPair {
-                source: source.clone(),
-                target: target.clone(),
-                key: key.clone(),
-            },
-            DatasetSpec::CsvInline {
-                source,
-                target,
-                key,
-            } => DatasetSpec::CsvInline {
-                source: source.clone(),
-                target: target.clone(),
-                key: key.clone(),
-            },
-            DatasetSpec::Provider(provider) => DatasetSpec::Provider(Arc::clone(provider)),
-            DatasetSpec::Sharded { inner, shards } => DatasetSpec::Sharded {
-                inner: inner.clone(),
-                shards: *shards,
-            },
-            DatasetSpec::Remote {
-                inner,
-                workers,
-                shards,
-                connect,
-            } => DatasetSpec::Remote {
-                inner: inner.clone(),
-                workers: workers.clone(),
-                shards: *shards,
-                connect: Arc::clone(connect),
-            },
         }
     }
 }
 
 impl DatasetSpec {
-    /// Serve `inner` sharded across `shards` row ranges; see
-    /// [`DatasetSpec::Sharded`].
-    pub fn sharded(inner: DatasetSpec, shards: usize) -> DatasetSpec {
-        DatasetSpec::Sharded {
-            inner: Box::new(inner),
-            shards: shards.max(1),
-        }
-    }
-
-    /// Serve `inner` with per-shard statistics fetched from remote
-    /// workers; see [`DatasetSpec::Remote`]. `shards = 0` means one
-    /// shard per worker; `connect` must open its executor with the same
-    /// count.
-    pub fn remote(
-        inner: DatasetSpec,
-        workers: Vec<String>,
-        shards: usize,
-        connect: ExecutorFactory,
-    ) -> Self {
-        DatasetSpec::Remote {
-            inner: Box::new(inner),
-            workers,
-            shards,
-            connect,
-        }
-    }
-
     /// Materialize the aligned pair this spec describes.
     fn open_pair(&self) -> Result<SnapshotPair> {
         let align = |source: Table, target: Table, key: &Option<String>| match key {
@@ -245,43 +131,6 @@ impl DatasetSpec {
                 key,
             )?),
             DatasetSpec::Provider(provider) => provider(),
-            DatasetSpec::Sharded { inner, .. } => inner.open_pair(),
-            DatasetSpec::Remote { inner, .. } => inner.open_pair(),
-        }
-    }
-
-    /// The number of row-range shards this spec's sessions open with
-    /// (1 = unsharded). Nested `Sharded` specs flatten to the outermost;
-    /// a `Remote` spec reports its configured count (`0` = one per
-    /// worker).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            DatasetSpec::Sharded { shards, .. } => (*shards).max(1),
-            DatasetSpec::Remote {
-                workers, shards, ..
-            } => {
-                if *shards == 0 {
-                    workers.len().max(1)
-                } else {
-                    *shards
-                }
-            }
-            _ => 1,
-        }
-    }
-
-    /// Open a session over this spec's pair — sharded or remote-backed
-    /// when the spec says so.
-    fn open_session(&self, config: CharlesConfig) -> Result<Session> {
-        if let DatasetSpec::Remote { inner, connect, .. } = self {
-            let pair = inner.open_pair()?;
-            let executor = connect(&pair)?;
-            return Session::open_distributed_with_config(pair, executor, config);
-        }
-        let pair = self.open_pair()?;
-        match self.shard_count() {
-            1 => Session::open_with_config(pair, config),
-            n => Session::open_sharded_with_config(pair, n, config),
         }
     }
 }
@@ -346,9 +195,6 @@ pub struct DatasetStats {
     /// LRU position: how many `open_or_get` calls (across all datasets)
     /// had happened when this one was last used. Larger = more recent.
     pub last_used_tick: u64,
-    /// Row-range shards this dataset's sessions open with (1 = unsharded;
-    /// see [`DatasetSpec::Sharded`]).
-    pub shards: usize,
     /// Whether this dataset's sessions seal their columns into compressed
     /// block encodings at open (per-dataset config; see
     /// [`CharlesConfig::seal_columns`]). Reported so operators can tell
@@ -520,7 +366,8 @@ impl SessionManager {
             key,
         };
         let config = self.session_config.clone();
-        let session = Arc::new(spec.open_session(config.clone())?);
+        let pair = spec.open_pair()?;
+        let session = Arc::new(Session::open_with_config(pair, config.clone())?);
         self.install(name.into(), spec, config, Some(session));
         Ok(())
     }
@@ -578,7 +425,7 @@ impl SessionManager {
         if let Some(session) = self.touch_resident(name)? {
             return Ok(session);
         }
-        let session = Arc::new(spec.open_session(config)?);
+        let session = Arc::new(Session::open_with_config(spec.open_pair()?, config)?);
         let approx_bytes = session.approx_plane_bytes();
 
         // lint:allow(lock-discipline: latch → registry is the documented lock order; the registry lock is the leaf)
@@ -691,7 +538,6 @@ impl SessionManager {
                 evictions: e.evictions,
                 approx_bytes: e.approx_bytes,
                 last_used_tick: e.last_used_tick,
-                shards: e.spec.shard_count(),
                 sealed: e.config.seal_columns,
             })
             .collect()
@@ -1007,48 +853,6 @@ mod tests {
             assert_eq!(results[i], results[i + 3]);
         }
         assert!(manager.resident_sessions() <= 2);
-    }
-
-    #[test]
-    fn sharded_spec_serves_identical_answers_and_reports_shards() {
-        let manager = SessionManager::new(ManagerConfig::default());
-        manager.register_pair("plain", tiny_pair(1.05));
-        manager.register(
-            "sharded",
-            DatasetSpec::sharded(DatasetSpec::Pair(tiny_pair(1.05)), 3),
-        );
-        let plain = rankings(&manager.open_or_get("plain").unwrap());
-        let sharded_session = manager.open_or_get("sharded").unwrap();
-        assert_eq!(sharded_session.shard_count(), 3);
-        assert_eq!(
-            rankings(&sharded_session),
-            plain,
-            "sharded dataset must answer byte-identically"
-        );
-        let stats = manager.dataset_stats("sharded").unwrap();
-        assert_eq!(stats.shards, 3);
-        assert_eq!(manager.dataset_stats("plain").unwrap().shards, 1);
-
-        // Evicting the sharded dataset releases all shard planes at once:
-        // nothing of it stays resident, and a re-open still agrees.
-        assert!(manager.evict("sharded"));
-        let after = manager.dataset_stats("sharded").unwrap();
-        assert!(!after.resident);
-        assert_eq!(after.approx_bytes, 0);
-        assert_eq!(rankings(&manager.open_or_get("sharded").unwrap()), plain);
-    }
-
-    #[test]
-    fn nested_sharded_spec_flattens() {
-        let spec = DatasetSpec::sharded(
-            DatasetSpec::sharded(DatasetSpec::Pair(tiny_pair(1.05)), 2),
-            5,
-        );
-        assert_eq!(spec.shard_count(), 5, "outermost count wins");
-        assert_eq!(
-            DatasetSpec::sharded(DatasetSpec::Pair(tiny_pair(1.05)), 0).shard_count(),
-            1
-        );
     }
 
     #[test]

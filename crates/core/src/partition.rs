@@ -375,7 +375,9 @@ fn categorical_groups(
 }
 
 /// The best one-vs-rest `Equals` split on a categorical attribute,
-/// scanning the distinct non-null values in `Value` order.
+/// scanning the distinct values in `Value` order. An attribute with a null
+/// at the node offers no split: the null rows would go to the `≠ v` side,
+/// which the re-verified condition `attr ≠ v` does not match.
 fn best_equals_split(
     attr: &AttrRef,
     col: &Column,
@@ -385,7 +387,7 @@ fn best_equals_split(
     min_leaf: usize,
 ) -> Option<Scored> {
     let groups = categorical_groups(col, labels, rows, node.tally.counts.len())?;
-    if groups.len() < 2 {
+    if groups.len() < 2 || groups.iter().any(|g| g.value.is_null()) {
         return None;
     }
     let mut order: Vec<usize> = (0..groups.len()).collect();
@@ -393,9 +395,6 @@ fn best_equals_split(
     let mut best = None;
     for g in order {
         let group = &groups[g];
-        if group.value.is_null() {
-            continue;
-        }
         let Some(gain) = node.gain(&group.tally, min_leaf) else {
             continue;
         };
@@ -792,6 +791,37 @@ mod tests {
         );
     }
 
+    /// A null in a categorical condition column must land in exactly one
+    /// partition: on the `≠ v` side of an `Equals` split the re-verified
+    /// condition `dept ≠ v` would not match it.
+    #[test]
+    fn categorical_nulls_stay_in_exactly_one_partition() {
+        use charles_relation::DataType;
+        let dept: Vec<Value> = ["A", "A", "A", "A", "B", "B", "B", "B", "", ""]
+            .iter()
+            .map(|&d| {
+                if d.is_empty() {
+                    Value::Null
+                } else {
+                    Value::str(d)
+                }
+            })
+            .collect();
+        let table = TableBuilder::new("nulls")
+            .value_col("dept", DataType::Utf8, &dept)
+            .unwrap()
+            .int_col("grade", &[1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
+            .build()
+            .unwrap();
+        let labels = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1];
+        for attrs in [vec!["dept".into()], vec!["dept".into(), "grade".into()]] {
+            let specs = induce_partitions(&table, &attrs, &labels, &default_config()).unwrap();
+            let mut covered: Vec<usize> = specs.iter().flat_map(|s| s.rows.clone()).collect();
+            covered.sort_unstable();
+            assert_eq!(covered, (0..10).collect::<Vec<_>>(), "{specs:?}");
+        }
+    }
+
     #[test]
     fn constant_labels_single_partition() {
         let table = emp();
@@ -1052,14 +1082,12 @@ mod tests {
                 }
             } else {
                 let mut groups = categorical_groups(col, rows);
-                if groups.len() < 2 || groups.len() > 24 {
+                let has_null = groups.iter().any(|(value, _)| value.is_null());
+                if groups.len() < 2 || groups.len() > 24 || has_null {
                     return out;
                 }
                 groups.sort_by(|a, b| a.0.cmp(&b.0));
                 for (value, yes) in groups {
-                    if value.is_null() {
-                        continue;
-                    }
                     let yes_set: std::collections::HashSet<usize> = yes.iter().copied().collect();
                     let no: Vec<usize> = rows
                         .iter()
@@ -1291,18 +1319,17 @@ mod tests {
         }
 
         /// Whole trees agree: `induce_partitions` returns the same
-        /// partitions as the tree grown by the oracle split search. No
-        /// categorical nulls here: a null row on the `≠` side of a split
-        /// matches neither the tree path nor its re-verified condition,
-        /// with either split search.
+        /// partitions as the tree grown by the oracle split search, with
+        /// nulls in categorical and numeric condition columns alike.
         #[test]
         fn induced_partitions_match_row_oracle(
             rows in gen_rows(),
-            pay_nulls in proptest::prelude::any::<bool>(),
+            nulls in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
             fraction_idx in 0usize..4,
             depth in 1usize..5,
         ) {
-            let (table, labels) = gen_table(&rows, false, pay_nulls, false);
+            let (dept_nulls, pay_nulls) = nulls;
+            let (table, labels) = gen_table(&rows, dept_nulls, pay_nulls, false);
             let config = CharlesConfig {
                 min_partition_fraction: [0.0, 0.05, 0.1, 0.25][fraction_idx],
                 max_tree_depth: depth,

@@ -25,15 +25,14 @@ use crate::combi::bounded_subsets;
 use crate::config::CharlesConfig;
 use crate::ct::ConditionalTransformation;
 use crate::error::{CharlesError, Result};
-use crate::executor::{LocalExecutor, ShardExecutor};
 use crate::partition::{cluster_residuals, induce_partitions};
 use crate::score::ScoringContext;
 use crate::snap::snap_fit;
 use crate::summary::ChangeSummary;
 use crate::transform::{Term, Transformation};
 use charles_numerics::kernels;
-use charles_numerics::ols::{fit_constant, fit_from_parts, fit_ols_cols, ColumnMoments, LinearFit};
-use charles_relation::{AttrId, AttrRef, NumericView, RowRange, SnapshotPair, Table};
+use charles_numerics::ols::{fit_constant, fit_ols_cols, LinearFit};
+use charles_relation::{AttrId, AttrRef, NumericView, SnapshotPair, Table};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -213,15 +212,6 @@ pub struct SearchContext<'a> {
     /// session-lifetime memo without bound. Fits and labelings are
     /// α-independent and always memoized.
     memoize_candidates: bool,
-    /// The shard execution plane (`None` = unsharded). When present,
-    /// global fits are computed from per-shard sufficient statistics —
-    /// phase-A moments, then phase-B blocked Gram partials — fetched from
-    /// the executor (in-process threads or remote workers) and merged on
-    /// the canonical block grid, bit-identical to the unsharded
-    /// computation; see [`SearchContext::with_executor`]. Statistics are
-    /// requested only when a fit actually misses the memo, so warm reruns
-    /// never touch the executor.
-    executor: Option<Arc<dyn ShardExecutor>>,
 }
 
 /// Memo key for one clustering request. Clustering depends only on the
@@ -323,36 +313,7 @@ impl<'a> SearchContext<'a> {
             scoring,
             caches,
             memoize_candidates,
-            executor: None,
         })
-    }
-
-    /// Attach a shard execution plane. Global fits that miss the memo
-    /// then fetch per-shard sufficient statistics from the executor —
-    /// phase-A moments, then phase-B blocked Gram statistics under the
-    /// merged scales — and merge them here; by the construction in
-    /// `charles_numerics::ols`, the merged fit is **byte-identical** to
-    /// the unsharded one, so everything downstream (residual clustering,
-    /// condition induction, scoring, ranking) is too. Warm (memoized)
-    /// fits never touch the executor.
-    // lint:allow(cache-invalidation: the shard-equivalence contract makes executor-computed fits byte-identical to unsharded ones, so swapping the execution plane cannot invalidate a memoized fit, labeling, or candidate)
-    pub fn with_executor(mut self, executor: Arc<dyn ShardExecutor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// Attach an in-process row-range shard layout over this context's
-    /// pair — sugar for [`SearchContext::with_executor`] with a
-    /// [`LocalExecutor`]. Boundaries must sit on the canonical Gram block
-    /// grid ([`RowRange::split_aligned`]).
-    pub fn with_shards(self, ranges: &[RowRange]) -> Self {
-        let executor = LocalExecutor::with_ranges(SnapshotPair::clone(self.pair), ranges.to_vec());
-        self.with_executor(Arc::new(executor))
-    }
-
-    /// Number of attached shard ranges (0 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.executor.as_ref().map_or(0, |e| e.ranges().len())
     }
 
     /// Memoized clustering of one change signal.
@@ -417,11 +378,6 @@ impl<'a> SearchContext<'a> {
     /// The memoized global fit for a transformation subset. Candidates with
     /// the same `T` but different `(C, k)` share one OLS solve — and, on a
     /// session-owned plane, so do later runs.
-    ///
-    /// On an executor-backed context the fit is computed from per-shard
-    /// sufficient statistics merged on the canonical block grid (see
-    /// [`SearchContext::with_executor`]); the result — including *whether*
-    /// the fit is feasible — is bit-identical to the unsharded path.
     fn global_fit(&self, tran_attrs: &[AttrRef]) -> Result<Arc<Option<LinearFit>>> {
         let key: Vec<AttrId> = tran_attrs
             .iter()
@@ -430,53 +386,8 @@ impl<'a> SearchContext<'a> {
         memoized(&self.caches.fit_memo, (self.target_id, key), || {
             self.caches.fits_computed.fetch_add(1, Ordering::Relaxed);
             let cols = self.columns_for(tran_attrs)?;
-            let Some(executor) = &self.executor else {
-                return Ok(Arc::new(fit_ols_cols(&cols, &self.y_target).ok()));
-            };
-            Ok(Arc::new(self.distributed_global_fit(
-                executor.as_ref(),
-                tran_attrs,
-                &cols,
-            )?))
+            Ok(Arc::new(fit_ols_cols(&cols, &self.y_target).ok()))
         })
-    }
-
-    /// The executor-backed global fit: fetch phase-A moments per shard,
-    /// merge them (exact: `max`/`+`/`&&`), derive the conditioning scales
-    /// centrally, fetch phase-B blocked Gram statistics under those
-    /// scales, and solve here from the block-ordered fold. *Numeric*
-    /// infeasibility (too few rows, non-finite data, unsolvable systems)
-    /// maps to `Ok(None)` — exactly the cases where the central
-    /// `fit_ols_cols` fails — while executor/transport failures propagate
-    /// as hard errors so a dead worker can never masquerade as an
-    /// infeasible candidate.
-    fn distributed_global_fit(
-        &self,
-        executor: &dyn ShardExecutor,
-        tran_attrs: &[AttrRef],
-        full_cols: &[&[f64]],
-    ) -> Result<Option<LinearFit>> {
-        let names: Vec<String> = tran_attrs.iter().map(|a| a.name().to_string()).collect();
-        // Phase A: per-shard moments; the merge is exact.
-        let moments = executor.column_moments(self.target_attr, &names)?;
-        // All-empty layouts (zero-row pairs) have no parts to take the
-        // column count from; fail validation exactly like the central
-        // path does on zero rows.
-        let merged = if moments.is_empty() {
-            ColumnMoments {
-                rows: 0,
-                max_abs: vec![0.0; tran_attrs.len()],
-                finite: true,
-            }
-        } else {
-            ColumnMoments::merge(&moments)
-        };
-        let Ok(scales) = merged.validated_scales(tran_attrs.len()) else {
-            return Ok(None);
-        };
-        // Phase B: per-shard blocked Gram statistics on the canonical grid.
-        let parts = executor.gram_partials(self.target_attr, &names, &scales)?;
-        Ok(fit_from_parts(parts, &scales, full_cols, &self.y_target).ok())
     }
 }
 

@@ -53,7 +53,6 @@
 use crate::assistant::{analyze, SetupReport};
 use crate::config::CharlesConfig;
 use crate::error::{CharlesError, QueryError, Result};
-use crate::executor::{validate_layout, LocalExecutor, ShardExecutor};
 use crate::score::{derive_scale, ScoringContext};
 use crate::search::{
     change_signals, generate_candidates, memoized, run_search, PlaneCaches, SearchContext,
@@ -61,8 +60,8 @@ use crate::search::{
 };
 use crate::summary::ChangeSummary;
 use crate::transform::Transformation;
-use charles_numerics::ols::{ColumnMoments, GramPartial, GRAM_BLOCK_ROWS};
-use charles_relation::{AttrId, AttrRef, NumericView, RowRange, SnapshotPair};
+use charles_numerics::ols::GRAM_BLOCK_ROWS;
+use charles_relation::{AttrId, AttrRef, NumericView, SnapshotPair};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,10 +69,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 // The relation plane's compressed-block grid and the numerics Gram grid
-// are the same 128-row grid: zone maps, shard boundaries, and Gram
-// partials all align block-for-block. A drift in either constant would
-// silently break the bit-exact sharding contract, so pin them equal at
-// compile time.
+// are the same 128-row grid: zone maps and Gram partials align
+// block-for-block. Pin them equal at compile time.
 const _: () = assert!(charles_relation::GRAM_BLOCK_ROWS == GRAM_BLOCK_ROWS);
 
 /// The schema id of a resolved [`AttrRef`]. Refs produced by
@@ -277,19 +274,6 @@ pub struct Session {
     /// Global fits, labelings, and evaluated candidates (valid for the
     /// session config; see [`PlaneCaches`]).
     caches: Arc<PlaneCaches>,
-    /// The shard execution plane (`None` = unsharded). Per-shard
-    /// statistics — change-signal slices, phase-A moments, phase-B Gram
-    /// partials — come from here and merge on the canonical block grid,
-    /// whether the executor runs shards on in-process threads
-    /// ([`LocalExecutor`], see [`Session::open_sharded`]) or on remote
-    /// workers (see [`Session::open_distributed`]).
-    executor: Option<Arc<dyn ShardExecutor>>,
-    /// The same executor, concretely typed, when it is this session's own
-    /// [`LocalExecutor`] — the session then reads columns through the
-    /// executor's extraction cache instead of keeping a second copy (the
-    /// buffers are `Arc`-shared either way; this avoids extracting a
-    /// converted or re-aligned column twice).
-    local_executor: Option<Arc<LocalExecutor>>,
     columns_extracted: AtomicUsize,
     planes_built: AtomicUsize,
     setups_computed: AtomicUsize,
@@ -323,102 +307,10 @@ impl Session {
             planes: Mutex::new(HashMap::new()),
             setups: Mutex::new(HashMap::new()),
             caches: Arc::new(PlaneCaches::default()),
-            executor: None,
-            local_executor: None,
             columns_extracted: AtomicUsize::new(0),
             planes_built: AtomicUsize::new(0),
             setups_computed: AtomicUsize::new(0),
         })
-    }
-
-    /// Open a **sharded** session: queries run their per-row heavy lifting
-    /// over `shards` contiguous row ranges, one [`SearchContext`] window
-    /// per shard over the same `Arc`-backed column plane.
-    ///
-    /// ## The exactness contract
-    ///
-    /// Sharding is a *layout* choice, never a semantics choice: every
-    /// query answer — rankings, scores, `sweep_alpha` output — is
-    /// **byte-identical** to the same query on an unsharded
-    /// [`Session::open`] of the same pair, for any shard count (including
-    /// more shards than rows, which leaves trailing shards empty). That
-    /// holds because nothing global is ever approximated per shard:
-    ///
-    /// - **Global fits** are solved from per-shard *sufficient statistics*
-    ///   (per-column moments, then `XᵀX`/`Xᵀy` accumulated on a canonical
-    ///   block grid anchored at row 0) merged in block order — the same
-    ///   floating-point operations in the same order as the unsharded
-    ///   fit, so the coefficients and residuals match to the last bit.
-    /// - **Change signals** (Δ, relative Δ) are elementwise; shards
-    ///   compute their slices and the slices concatenate in row order.
-    /// - **Cluster labelings, condition induction, and scoring** run over
-    ///   the *merged* signals and residuals — global structure is
-    ///   discovered from merged statistics, never stitched from per-shard
-    ///   clusterings.
-    ///
-    /// Shard boundaries are aligned to the fit's block grid
-    /// ([`RowRange::split_aligned`] with `GRAM_BLOCK_ROWS`), which is what
-    /// makes the first point exact. `tests/shard_equivalence.rs` pins the
-    /// contract differentially.
-    pub fn open_sharded(pair: SnapshotPair, shards: usize) -> Result<Self> {
-        Session::open_sharded_with_config(pair, shards, CharlesConfig::default())
-    }
-
-    /// [`Session::open_sharded`] with a custom engine configuration.
-    pub fn open_sharded_with_config(
-        pair: SnapshotPair,
-        shards: usize,
-        config: CharlesConfig,
-    ) -> Result<Self> {
-        // Seal before the executor captures its copy so both planes read
-        // the same compressed blocks (re-sealing in `open_with_config` is
-        // an Arc-cloning no-op on already-sealed columns).
-        let pair = if config.seal_columns {
-            pair.sealed()
-        } else {
-            pair
-        };
-        let executor = Arc::new(LocalExecutor::new(pair.clone(), shards));
-        let mut session =
-            Session::open_distributed_with_config(pair, Arc::clone(&executor) as _, config)?;
-        // One extraction cache for both planes; see `Session::source_view`.
-        session.local_executor = Some(executor);
-        Ok(session)
-    }
-
-    /// Open a **distributed** session: per-shard statistics come from
-    /// `executor` — any [`ShardExecutor`] backend, in-process or remote —
-    /// while everything built *on* the merged statistics (clustering,
-    /// condition induction, per-partition fits, scoring, ranking) runs
-    /// here on the coordinator over its own copy of the pair.
-    ///
-    /// [`Session::open_sharded`] is exactly this call with a
-    /// [`LocalExecutor`]; the exactness contract documented there is
-    /// backend-independent, because the merge lands on the same canonical
-    /// block grid no matter where the per-shard statistics were computed.
-    /// The executor's layout is validated here: it must be a contiguous,
-    /// block-aligned partition of the pair's rows.
-    pub fn open_distributed(pair: SnapshotPair, executor: Arc<dyn ShardExecutor>) -> Result<Self> {
-        Session::open_distributed_with_config(pair, executor, CharlesConfig::default())
-    }
-
-    /// [`Session::open_distributed`] with a custom engine configuration.
-    pub fn open_distributed_with_config(
-        pair: SnapshotPair,
-        executor: Arc<dyn ShardExecutor>,
-        config: CharlesConfig,
-    ) -> Result<Self> {
-        validate_layout(&executor.ranges(), pair.len())?;
-        let mut session = Session::open_with_config(pair, config)?;
-        session.executor = Some(executor);
-        Ok(session)
-    }
-
-    /// How many row-range shards queries fan out over (1 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.executor
-            .as_ref()
-            .map_or(1, |e| e.ranges().len().max(1))
     }
 
     /// The aligned snapshot pair.
@@ -455,9 +347,8 @@ impl Session {
     /// the tables, the extracted views, the aligned views, and the
     /// change-signal planes, so a view aliasing a table column — or a
     /// sealed column's decode cache shared with the plane — adds nothing
-    /// the second time. Without this, sharded sessions (whose executor
-    /// shares every extracted buffer) over-reported their footprint and
-    /// tripped the [`crate::SessionManager`] budget early.
+    /// the second time, and the [`crate::SessionManager`] budget sees
+    /// the session's true footprint.
     pub fn approx_plane_bytes(&self) -> usize {
         let mut seen: HashSet<usize> = HashSet::new();
         let note_view = |seen: &mut HashSet<usize>, v: &NumericView| -> usize {
@@ -587,7 +478,7 @@ impl Session {
             // Private plane: dies with this run, safe to fill freely.
             (Arc::new(PlaneCaches::default()), true)
         };
-        let mut ctx = SearchContext::from_plane(
+        let ctx = SearchContext::from_plane(
             &self.pair,
             &query.target,
             plane.target.clone(),
@@ -601,12 +492,6 @@ impl Session {
             caches,
             memoize_candidates,
         )?;
-        if let Some(executor) = &self.executor {
-            // Executor-backed layout: global fits merge per-shard
-            // sufficient statistics (bit-identical to unsharded; see
-            // [`Session::open_distributed`]).
-            ctx = ctx.with_executor(Arc::clone(executor));
-        }
         let candidates = generate_candidates(&cond_refs, &tran_refs, &config);
         if candidates.is_empty() {
             return Err(CharlesError::NoCandidates(format!(
@@ -666,118 +551,6 @@ impl Session {
     /// Instant in practice — each point is O(summaries) over cached state.
     pub fn sweep_alpha(&self, result: &QueryResult, alphas: &[f64]) -> Result<Vec<QueryResult>> {
         alphas.iter().map(|&a| self.rescore(result, a)).collect()
-    }
-
-    // ---- The worker role: serving block-range shard statistics --------
-    //
-    // A `charles-worker` (a `charles-server` hosting the dataset) answers
-    // a distributed coordinator's stat requests with these three methods.
-    // They read the same lazily-extracted column plane queries use, so a
-    // worker serving many block ranges of one dataset extracts each
-    // column once.
-
-    /// Validate one shard-statistics request range: inside the pair and
-    /// starting on the canonical Gram block grid (the precondition for
-    /// bit-exact merges; see [`GRAM_BLOCK_ROWS`]).
-    fn validate_block_range(&self, range: RowRange) -> Result<()> {
-        if range.end > self.pair.len() {
-            return Err(CharlesError::BadConfig(format!(
-                "shard range [{}, {}) exceeds the pair's {} rows",
-                range.start,
-                range.end,
-                self.pair.len()
-            )));
-        }
-        if !range.is_empty() && !range.start.is_multiple_of(GRAM_BLOCK_ROWS) {
-            return Err(CharlesError::BadConfig(format!(
-                "shard range start {} is off the {GRAM_BLOCK_ROWS}-row block grid",
-                range.start
-            )));
-        }
-        Ok(())
-    }
-
-    /// The change-signal slice (Δ, relative Δ) of `target` over one
-    /// block-aligned row range — the worker side of
-    /// [`ShardExecutor::signal_slices`].
-    pub fn shard_signal_slice(
-        &self,
-        target: &str,
-        range: RowRange,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        self.validate_block_range(range)?;
-        let target_ref = self.resolve_target(target)?;
-        let id = resolved_id(&target_ref)?;
-        let y_target = self.aligned_view(target, id)?;
-        let y_source = self.source_view(id)?;
-        let (delta, rel_delta) = change_signals(&y_target.slice(range), &y_source.slice(range));
-        Ok((delta.to_vec(), rel_delta.to_vec()))
-    }
-
-    /// Phase-A column moments of `(target, tran_attrs)` over one
-    /// block-aligned row range — the worker side of
-    /// [`ShardExecutor::column_moments`].
-    pub fn shard_column_moments(
-        &self,
-        target: &str,
-        tran_attrs: &[String],
-        range: RowRange,
-    ) -> Result<ColumnMoments> {
-        self.validate_block_range(range)?;
-        let y = self.shard_target_view(target)?.slice(range);
-        let cols = self.shard_design_views(tran_attrs)?;
-        let sliced: Vec<NumericView> = cols.iter().map(|c| c.slice(range)).collect();
-        let slices: Vec<&[f64]> = sliced.iter().map(|v| v.as_slice()).collect();
-        Ok(charles_numerics::ols::column_moments(&slices, &y)?)
-    }
-
-    /// Phase-B blocked Gram statistics of `(target, tran_attrs)` over one
-    /// block-aligned row range, under coordinator-derived conditioning
-    /// `scales` — the worker side of [`ShardExecutor::gram_partials`].
-    /// The partial's `first_block` is the range's absolute block index,
-    /// so merges land on the same grid no matter which worker served it.
-    pub fn shard_gram_partial(
-        &self,
-        target: &str,
-        tran_attrs: &[String],
-        scales: &[f64],
-        range: RowRange,
-    ) -> Result<GramPartial> {
-        self.validate_block_range(range)?;
-        if scales.len() != tran_attrs.len() {
-            return Err(CharlesError::BadConfig(format!(
-                "{} conditioning scales for {} transformation attributes",
-                scales.len(),
-                tran_attrs.len()
-            )));
-        }
-        let y = self.shard_target_view(target)?.slice(range);
-        let cols = self.shard_design_views(tran_attrs)?;
-        let sliced: Vec<NumericView> = cols.iter().map(|c| c.slice(range)).collect();
-        let slices: Vec<&[f64]> = sliced.iter().map(|v| v.as_slice()).collect();
-        Ok(charles_numerics::ols::gram_partial(
-            &slices,
-            &y,
-            scales,
-            range.start / GRAM_BLOCK_ROWS,
-        ))
-    }
-
-    /// The aligned target-side view a shard statistic regresses on.
-    fn shard_target_view(&self, target: &str) -> Result<NumericView> {
-        let target_ref = self.resolve_target(target)?;
-        let id = resolved_id(&target_ref)?;
-        self.aligned_view(target, id)
-    }
-
-    /// The fit's design columns: source-side views of the transformation
-    /// attributes, in subset order.
-    fn shard_design_views(&self, tran_attrs: &[String]) -> Result<Vec<NumericView>> {
-        let schema = self.pair.source().schema();
-        tran_attrs
-            .iter()
-            .map(|a| self.source_view(schema.attr_id(a)?))
-            .collect()
     }
 
     /// Re-score a summary list under `config` using the cached scoring
@@ -848,74 +621,32 @@ impl Session {
 
     /// Shared source-side view of one attribute, extracted on first use
     /// (errors — nulls, non-numeric — are not cached and surface on every
-    /// attempt, mirroring direct extraction). A session with an attached
-    /// [`LocalExecutor`] reads through the executor's cache, so a column
-    /// is materialized once no matter which plane asks first.
+    /// attempt, mirroring direct extraction).
     fn source_view(&self, id: AttrId) -> Result<NumericView> {
         memoized(&self.views, id, || {
-            let view = match &self.local_executor {
-                Some(local) => {
-                    let schema = self.pair.source().schema();
-                    let field = schema.fields().get(id.index()).ok_or_else(|| {
-                        CharlesError::BadTargetAttribute(format!(
-                            "attribute id {} points past the schema ({})",
-                            id.index(),
-                            schema.fields().len()
-                        ))
-                    })?;
-                    local.source_view(field.name())?
-                }
-                None => self.pair.source().numeric_view_by_id(id)?,
-            };
+            let view = self.pair.source().numeric_view_by_id(id)?;
             self.columns_extracted.fetch_add(1, Ordering::Relaxed);
             Ok(view)
         })
     }
 
-    /// Aligned target-side view of one attribute, cached per target
-    /// (shared with the local executor like [`Session::source_view`]).
+    /// Aligned target-side view of one attribute, cached per target.
     fn aligned_view(&self, name: &str, id: AttrId) -> Result<NumericView> {
         memoized(&self.aligned, id, || {
-            let view = match &self.local_executor {
-                Some(local) => local.aligned_view(name)?,
-                None => self.pair.target_numeric_view(name)?,
-            };
+            let view = self.pair.target_numeric_view(name)?;
             self.columns_extracted.fetch_add(1, Ordering::Relaxed);
             Ok(view)
         })
     }
 
-    /// The per-target change-signal plane, built once per target. On an
-    /// executor-backed session the signals are fetched per shard and
-    /// concatenated in range order (the computation is elementwise, so
-    /// the concatenation is byte-identical to the unsharded computation —
-    /// wherever the shards live).
+    /// The per-target change-signal plane, built once per target.
     fn target_plane(&self, target: &AttrRef) -> Result<Arc<TargetPlane>> {
         let id = resolved_id(target)?;
         memoized(&self.planes, id, || {
             self.planes_built.fetch_add(1, Ordering::Relaxed);
             let y_target = self.aligned_view(target.name(), id)?;
             let y_source = self.source_view(id)?;
-            let (delta, rel_delta) = match &self.executor {
-                None => change_signals(&y_target, &y_source),
-                Some(executor) => {
-                    let slices = executor.signal_slices(target.name())?;
-                    let n = y_target.len();
-                    let mut delta = Vec::with_capacity(n);
-                    let mut rel_delta = Vec::with_capacity(n);
-                    for slice in &slices {
-                        delta.extend_from_slice(&slice.delta);
-                        rel_delta.extend_from_slice(&slice.rel_delta);
-                    }
-                    if delta.len() != n || rel_delta.len() != n {
-                        return Err(CharlesError::Distributed(format!(
-                            "executor returned {} signal rows for a {n}-row pair",
-                            delta.len()
-                        )));
-                    }
-                    (NumericView::new(delta), NumericView::new(rel_delta))
-                }
-            };
+            let (delta, rel_delta) = change_signals(&y_target, &y_source);
             let scale = derive_scale(&y_target, &y_source);
             Ok(Arc::new(TargetPlane {
                 target: target.clone(),
@@ -1378,145 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_session_matches_unsharded_byte_for_byte() {
-        let oracle = Session::open(fig1_pair()).unwrap();
-        let base = oracle.run(&fig1_query()).unwrap();
-        let render = |r: &QueryResult| -> Vec<String> {
-            r.summaries.iter().map(|s| s.to_string()).collect()
-        };
-        let bits = |r: &QueryResult| -> Vec<u64> {
-            r.summaries
-                .iter()
-                .map(|s| s.scores.score.to_bits())
-                .collect()
-        };
-        // 9 rows < one block: every shard beyond the first is empty, and
-        // the answers must still be identical (the degenerate contract).
-        for shards in [1usize, 2, 3, 7, 64] {
-            let sharded = Session::open_sharded(fig1_pair(), shards).unwrap();
-            assert_eq!(sharded.shard_count(), shards);
-            let result = sharded.run(&fig1_query()).unwrap();
-            assert_eq!(render(&result), render(&base), "shards={shards}");
-            assert_eq!(bits(&result), bits(&base), "shards={shards}");
-            assert_eq!(sharded.targets().unwrap(), oracle.targets().unwrap());
-        }
-    }
-
-    #[test]
-    fn sharded_multi_block_pair_matches_unsharded() {
-        // 300 rows spans 3 canonical Gram blocks, so shard counts 2 and 3
-        // produce genuinely non-empty multi-shard layouts whose merged
-        // sufficient statistics must reproduce the central fit exactly.
-        let n = 300usize;
-        let names: Vec<String> = (0..n).map(|i| format!("e{i}")).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let edu: Vec<&str> = (0..n).map(|i| ["PhD", "MS", "BS"][i % 3]).collect();
-        let exp: Vec<i64> = (0..n).map(|i| (i % 7) as i64).collect();
-        let bonus: Vec<f64> = (0..n)
-            .map(|i| 8_000.0 + (i as f64 * 937.0) % 9_000.0)
-            .collect();
-        let source = TableBuilder::new("v1")
-            .str_col("name", &name_refs)
-            .str_col("edu", &edu)
-            .int_col("exp", &exp)
-            .float_col("bonus", &bonus)
-            .key("name")
-            .build()
-            .unwrap();
-        let policy = [
-            UpdateStatement::new(
-                "bonus",
-                Expr::affine("bonus", 1.05, 1000.0),
-                Predicate::eq("edu", "PhD"),
-            ),
-            UpdateStatement::new(
-                "bonus",
-                Expr::affine("bonus", 1.04, 800.0),
-                Predicate::eq("edu", "MS"),
-            ),
-        ];
-        let target = apply_updates(&source, &policy, ApplyMode::FirstMatch)
-            .unwrap()
-            .table;
-        let pair = SnapshotPair::align(source, target).unwrap();
-
-        let query = Query::new("bonus")
-            .with_condition_attrs(["edu", "exp"])
-            .with_transform_attrs(["bonus"]);
-        let oracle = Session::open(pair.clone()).unwrap();
-        let base = oracle.run(&query).unwrap();
-        let render_bits = |r: &QueryResult| -> Vec<(String, u64)> {
-            r.summaries
-                .iter()
-                .map(|s| (s.to_string(), s.scores.score.to_bits()))
-                .collect()
-        };
-        for shards in [2usize, 3, 5] {
-            let sharded = Session::open_sharded(pair.clone(), shards).unwrap();
-            let result = sharded.run(&query).unwrap();
-            assert_eq!(render_bits(&result), render_bits(&base), "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_sweep_matches_unsharded() {
-        let oracle = Session::open(fig1_pair()).unwrap();
-        let sharded = Session::open_sharded(fig1_pair(), 3).unwrap();
-        let alphas = [0.0, 0.25, 0.5, 0.75, 1.0];
-        let base = oracle.run(&fig1_query()).unwrap();
-        let shard_base = sharded.run(&fig1_query()).unwrap();
-        let a = oracle.sweep_alpha(&base, &alphas).unwrap();
-        let b = sharded.sweep_alpha(&shard_base, &alphas).unwrap();
-        for (x, y) in a.iter().zip(b.iter()) {
-            let xs: Vec<String> = x.summaries.iter().map(|s| s.to_string()).collect();
-            let ys: Vec<String> = y.summaries.iter().map(|s| s.to_string()).collect();
-            assert_eq!(xs, ys, "α={}", x.alpha);
-        }
-    }
-
-    #[test]
-    fn sharded_session_shares_one_extraction_cache_with_its_executor() {
-        let session = Session::open_sharded(fig1_pair(), 2).unwrap();
-        // "exp" is Int64: extraction materializes a converted f64 buffer,
-        // the case where a second cache would mean a second copy. Both
-        // planes must hand back the *same* buffer.
-        let id = session.pair().source().schema().attr_id("exp").unwrap();
-        let via_session = session.source_view(id).unwrap();
-        let local = session.local_executor.as_ref().expect("local executor");
-        let via_executor = local.source_view("exp").unwrap();
-        assert_eq!(
-            via_session.as_slice().as_ptr(),
-            via_executor.as_slice().as_ptr(),
-            "session and executor must share one extracted buffer"
-        );
-        let aligned_session = session
-            .aligned_view("bonus", id_of(&session, "bonus"))
-            .unwrap();
-        let aligned_executor = local.aligned_view("bonus").unwrap();
-        assert_eq!(
-            aligned_session.as_slice().as_ptr(),
-            aligned_executor.as_slice().as_ptr()
-        );
-    }
-
-    fn id_of(session: &Session, name: &str) -> charles_relation::AttrId {
-        session.pair().source().schema().attr_id(name).unwrap()
-    }
-
-    #[test]
-    fn sharded_warm_rerun_is_cached() {
-        let session = Session::open_sharded(fig1_pair(), 2).unwrap();
-        session.run(&fig1_query()).unwrap();
-        let warmed = session.stats();
-        session.run(&fig1_query()).unwrap();
-        assert_eq!(
-            session.stats(),
-            warmed,
-            "sharded warm rerun must be pure hits"
-        );
-    }
-
-    #[test]
     fn sealed_sessions_match_raw_byte_for_byte() {
         let raw = Session::open(fig1_pair()).unwrap();
         let base = raw.run(&fig1_query()).unwrap();
@@ -1527,26 +1119,20 @@ mod tests {
                 .collect()
         };
         let config = CharlesConfig::default().with_sealed_columns(true);
-        for shards in [1usize, 2, 3] {
-            let sealed = if shards == 1 {
-                Session::open_with_config(fig1_pair(), config.clone()).unwrap()
-            } else {
-                Session::open_sharded_with_config(fig1_pair(), shards, config.clone()).unwrap()
-            };
-            assert!(sealed
-                .pair()
-                .source()
-                .columns()
-                .iter()
-                .any(|c| c.is_compressed()));
-            let result = sealed.run(&fig1_query()).unwrap();
-            assert_eq!(render_bits(&result), render_bits(&base), "shards={shards}");
-            assert_eq!(sealed.targets().unwrap(), raw.targets().unwrap());
-            let swept = sealed.sweep_alpha(&result, &[0.0, 0.5, 1.0]).unwrap();
-            let base_swept = raw.sweep_alpha(&base, &[0.0, 0.5, 1.0]).unwrap();
-            for (a, b) in swept.iter().zip(base_swept.iter()) {
-                assert_eq!(render_bits(a), render_bits(b), "α={}", a.alpha);
-            }
+        let sealed = Session::open_with_config(fig1_pair(), config).unwrap();
+        assert!(sealed
+            .pair()
+            .source()
+            .columns()
+            .iter()
+            .any(|c| c.is_compressed()));
+        let result = sealed.run(&fig1_query()).unwrap();
+        assert_eq!(render_bits(&result), render_bits(&base));
+        assert_eq!(sealed.targets().unwrap(), raw.targets().unwrap());
+        let swept = sealed.sweep_alpha(&result, &[0.0, 0.5, 1.0]).unwrap();
+        let base_swept = raw.sweep_alpha(&base, &[0.0, 0.5, 1.0]).unwrap();
+        for (a, b) in swept.iter().zip(base_swept.iter()) {
+            assert_eq!(render_bits(a), render_bits(b), "α={}", a.alpha);
         }
     }
 
@@ -1571,26 +1157,6 @@ mod tests {
             .zip(b.condition_candidates.iter())
         {
             assert_eq!(x.correlation.to_bits(), y.correlation.to_bits(), "{}", x.attr);
-        }
-    }
-
-    #[test]
-    fn sharded_bytes_no_longer_double_count_shared_buffers() {
-        // The sharded session and its executor share one extraction cache
-        // (`Arc`-aliased buffers); deduped accounting must report the same
-        // plane footprint as the unsharded session, not a multiple of it.
-        let unsharded = Session::open(fig1_pair()).unwrap();
-        unsharded.run(&fig1_query()).unwrap();
-        let base = unsharded.approx_plane_bytes();
-        for shards in [2usize, 3] {
-            let sharded = Session::open_sharded(fig1_pair(), shards).unwrap();
-            sharded.run(&fig1_query()).unwrap();
-            let bytes = sharded.approx_plane_bytes();
-            let drift = bytes.abs_diff(base);
-            assert!(
-                drift * 10 <= base,
-                "shards={shards}: sharded plane reports {bytes} bytes vs unsharded {base}"
-            );
         }
     }
 

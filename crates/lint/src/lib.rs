@@ -2,9 +2,8 @@
 //! `charles-lint`: workspace static analysis for ChARLES's standing
 //! invariants.
 //!
-//! The repo's architecture bet (PR 4–6) is that sharded, distributed, and
-//! SIMD-blocked execution all stay `to_bits`-identical to the
-//! single-threaded oracle. That contract is sampled by the differential
+//! The repo's architecture bet is that threaded and SIMD-blocked
+//! execution stay `to_bits`-identical to the single-threaded oracle. That contract is sampled by the differential
 //! test harness, but a violation is cheap to *reintroduce* — one
 //! hash-ordered fold or raw JSON float and the bits drift. This crate
 //! checks the rules at the source level, on every build, with no
@@ -24,7 +23,7 @@
 //!   feeding order-sensitive sinks (serialization, ranking, float or
 //!   collection accumulation). Use `BTreeMap`/`BTreeSet` or sort in the
 //!   same statement.
-//! - `wire-float-exactness` (`proto.rs` / `remote.rs`): floats crossing
+//! - `wire-float-exactness` (`proto.rs`): floats crossing
 //!   the wire must use the `to_bits` hex helpers, never raw JSON
 //!   numbers.
 //! - `block-grid-literals` (everywhere): bare `128` block math must
@@ -585,7 +584,7 @@ fn run_rules(rel: &str, ft: &FileTokens) -> Vec<Finding> {
 
     let fname = rel.rsplit('/').next().unwrap_or(rel);
     let float_fold_in_scope = !rel.ends_with("numerics/src/kernels.rs");
-    let wire_in_scope = fname == "proto.rs" || fname == "remote.rs";
+    let wire_in_scope = fname == "proto.rs";
     let lock_in_scope = fname == "manager.rs" || fname == "server.rs";
 
     let hash_idents = collect_hash_idents(toks);

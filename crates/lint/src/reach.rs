@@ -7,7 +7,7 @@
 //! 500 with no [`ErrorEnvelope`]. This pass seeds the call graph at the
 //! server's request-handling functions (every non-test `fn` in
 //! `crates/server/src` — `serve_connection`, `route`, `route_inner`,
-//! `dispatch`, the worker/remote plumbing) and walks the workspace call
+//! `dispatch`, the client) and walks the workspace call
 //! graph; every potential-panic site in a reachable function is a
 //! finding, carrying the seed → … → site call chain so the report shows
 //! *why* the site is on the request path.
@@ -15,7 +15,7 @@
 //! Site kinds: `.unwrap()`, `.expect(..)`, the `panic!`-family macros,
 //! and slice/array indexing. Indexing is reported only in the
 //! orchestration scope (the server crate plus `charles_core`'s
-//! `session.rs` / `manager.rs` / `executor.rs`): hot numeric kernels
+//! `session.rs` / `manager.rs`): hot numeric kernels
 //! index on every line behind block-grid invariants the fixture-pinned
 //! differential suite already exercises, and burying real findings in
 //! thousands of loop-bound indexes would make the rule unenforceable.
@@ -33,7 +33,6 @@ fn index_in_scope(rel: &str) -> bool {
     rel.starts_with("crates/server/src")
         || rel.ends_with("core/src/session.rs")
         || rel.ends_with("core/src/manager.rs")
-        || rel.ends_with("core/src/executor.rs")
 }
 
 /// Run the pass: panic sites in functions reachable from the serving

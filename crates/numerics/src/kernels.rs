@@ -20,8 +20,8 @@
 //!
 //! The OLS pipeline ([`crate::ols`]) builds its per-block Gram statistics
 //! from [`dot`] over pre-scaled column windows, which is what makes the
-//! blocked fold the *one* canonical kernel for local, sharded, and
-//! distributed execution alike.
+//! blocked fold the *one* canonical kernel for every fit and every
+//! block-aligned row split.
 //!
 //! Reductions that are exact regardless of order (`max`, `&&`) also use
 //! lanes ([`max_abs_finite`]) purely for speed: associativity makes any

@@ -23,8 +23,8 @@
 //!    order no matter how many shards computed them.
 //!
 //! [`fit_ols_cols`] itself is the one-shard instance of this pipeline,
-//! which is what makes "sharded search is byte-identical to unsharded"
-//! a theorem about this module rather than a tolerance.
+//! so any block-aligned row split merges to its exact bits — a theorem
+//! about this module rather than a tolerance.
 //!
 //! ## Blocked kernels
 //!
@@ -36,10 +36,9 @@
 //! the autovectorizer turns into packed FMAs instead of the old scalar
 //! triangle walk. The kernel's fold order differs from the pre-PR-6
 //! scalar row walk (floating-point addition is not associative), so the
-//! blocked kernel is THE canonical accumulation everywhere — local,
-//! sharded, and distributed execution all call this one function on the
-//! same canonical blocks, keeping the bit-identical merge contract true
-//! by construction. The retained [`gram_partial_scalar`] /
+//! blocked kernel is THE canonical accumulation everywhere — every fit
+//! calls this one function on the same canonical blocks, keeping the
+//! bit-identical merge contract true by construction. The retained [`gram_partial_scalar`] /
 //! [`column_moments_scalar`] are the pre-kernel reference used by benches
 //! and differential tests (agreement within tolerance, not bits).
 
@@ -49,16 +48,15 @@ use crate::matrix::Matrix;
 use crate::solve::solve_cholesky;
 
 /// Rows per canonical accumulation block of the Gram statistics. Shard
-/// boundaries must be multiples of this (see
-/// `charles_relation::RowRange::split_aligned`) for bit-exact merges.
+/// boundaries must be multiples of this for bit-exact merges.
 /// A multiple of [`kernels::LANES`], so full blocks have no sub-lane tail.
 ///
 /// The relation plane's compressed column blocks
 /// (`charles_relation::GRAM_BLOCK_ROWS`) sit on the *same* 128-row grid:
-/// sealed columns decode per block, zone maps prune per block, and shard
-/// boundaries land on block edges — so a sharded fit over sealed columns
-/// folds exactly the bytes the unsharded raw fit folds. The two constants
-/// are pinned equal by a compile-time assert in `charles-core`.
+/// sealed columns decode per block and zone maps prune per block, so a
+/// fit over sealed columns folds exactly the bytes the raw fit folds. The
+/// two constants are pinned equal by a compile-time assert in
+/// `charles-core`.
 pub const GRAM_BLOCK_ROWS: usize = 128;
 
 const _: () = assert!(GRAM_BLOCK_ROWS.is_multiple_of(kernels::LANES));
@@ -744,7 +742,7 @@ mod tests {
             let central = fit_ols_cols(&cols, &y).unwrap();
 
             for shards in [1usize, 2, 3, 7, 64] {
-                // Block-aligned boundaries, mirroring RowRange::split_aligned.
+                // Block-aligned boundaries on the canonical grid.
                 let n_blocks = n.div_ceil(GRAM_BLOCK_ROWS);
                 let bounds: Vec<(usize, usize)> = (0..shards)
                     .map(|i| {

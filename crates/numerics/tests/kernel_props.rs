@@ -46,7 +46,7 @@ fn row_count() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Block-aligned shard bounds, mirroring `RowRange::split_aligned`.
+/// Block-aligned shard bounds on the canonical Gram grid.
 fn aligned_bounds(n: usize, shards: usize) -> Vec<(usize, usize)> {
     let n_blocks = n.div_ceil(GRAM_BLOCK_ROWS);
     (0..shards)

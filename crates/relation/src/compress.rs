@@ -3,9 +3,8 @@
 //!
 //! A [`CompressedColumn`] stores a column's value buffer as a sequence of
 //! independently encoded blocks on the canonical [`GRAM_BLOCK_ROWS`]-row
-//! grid (the same grid the numerics crate's blocked reductions and the
-//! shard splitter use, so decoded windows line up with every downstream
-//! consumer). Encodings are chosen per block by byte cost:
+//! grid (the same grid the numerics crate's blocked reductions use, so
+//! decoded windows line up with every downstream consumer). Encodings are chosen per block by byte cost:
 //!
 //! - **floats** — constant blocks, delta/bitpack when every value is
 //!   exactly integer-representable (payroll-style rounded figures), raw

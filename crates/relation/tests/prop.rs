@@ -185,17 +185,6 @@ proptest! {
     }
 
     #[test]
-    fn row_range_shards_partition_rows(rows in 0usize..600, shards in 1usize..9) {
-        let ranges = RowRange::split_aligned(rows, shards, 128);
-        prop_assert_eq!(ranges.len(), shards);
-        let covered: usize = ranges.iter().map(RowRange::len).sum();
-        prop_assert_eq!(covered, rows, "shards must cover every row once");
-        for w in ranges.windows(2) {
-            prop_assert_eq!(w[0].end, w[1].start);
-        }
-    }
-
-    #[test]
     fn group_codes_matches_string_grouping(table in table_strategy()) {
         // Dictionary-code grouping must induce exactly the partition that
         // grouping by materialized string values induces, nulls included.

@@ -65,9 +65,8 @@ pub fn http_request(
 /// write errors out, or the write "succeeds" into a dead socket and the
 /// read sees EOF/reset before a single response byte. Both mean no
 /// response was consumed, so the client transparently reconnects to the
-/// same address and retries the request **once**. Long-lived channels
-/// (a distributed coordinator holding worker connections for minutes
-/// between queries) rely on this. A failure *after* response bytes
+/// same address and retries the request **once**, so a long-lived
+/// channel survives idle gaps between queries. A failure *after* response bytes
 /// arrived is never retried — the stream is ambiguous at that point and
 /// the error surfaces to the caller.
 pub struct HttpClient {

@@ -16,12 +16,7 @@
 //!   plus `/v1/rpc`, backpressure via `503`, graceful shutdown.
 //!
 //! [`client`] adds the few lines of raw-`TcpStream` HTTP needed to drive
-//! a server from examples, benches, and smoke tests, and [`remote`] turns
-//! servers into **shard workers**: [`RemoteExecutor`] is a
-//! coordinator-side `charles_core::ShardExecutor` that fans block-range
-//! statistic requests across `charles-worker` processes and merges them
-//! bit-identically to the in-process path, with re-dispatch on worker
-//! failure.
+//! a server from examples, benches, and smoke tests.
 //!
 //! ```no_run
 //! use charles_core::{ManagerConfig, SessionManager};
@@ -43,14 +38,12 @@ pub mod client;
 pub mod http;
 pub mod json;
 pub mod proto;
-pub mod remote;
 pub mod server;
 
 pub use client::{http_request, HttpClient, HttpResponse};
 pub use json::{Json, JsonError};
 pub use proto::{
-    ErrorEnvelope, ProtoError, RankedSummary, Request, WireColumnMoments, WireDatasetStats,
-    WireGramPartial, WireQuery, WireQueryResult, WireSignalSlice, PROTOCOL_VERSION,
+    ErrorEnvelope, ProtoError, RankedSummary, Request, WireDatasetStats, WireQuery,
+    WireQueryResult, PROTOCOL_VERSION,
 };
-pub use remote::{remote_dataset_spec, upload_csv, RemoteExecutor};
 pub use server::{dispatch, Server, ServerConfig};

@@ -14,7 +14,6 @@
 
 use crate::json::{Json, JsonError};
 use charles_core::{CharlesError, DatasetStats, Query, QueryError, QueryResult, SessionStats};
-use charles_numerics::ols::{ColumnMoments, GramBlock, GramPartial};
 
 /// The wire protocol version this build speaks.
 pub const PROTOCOL_VERSION: usize = 1;
@@ -104,162 +103,13 @@ fn opt_to_json<T>(value: &Option<T>, f: impl Fn(&T) -> Json) -> Json {
     value.as_ref().map_or(Json::Null, f)
 }
 
-// ---- Bit-exact float transport ----------------------------------------
-//
-// Shard sufficient statistics must merge to the *same bits* the
-// coordinator would have computed itself, so their floats cross the wire
-// as `f64::to_bits` rendered in fixed-width hex — immune to any decimal
-// formatting subtlety and able to carry the non-finite values the
-// phase-A `finite` flag reports on (JSON numbers cannot encode NaN/∞).
-
-/// Encode one float as its 16-hex-digit bit pattern.
-fn f64_bits(v: f64) -> Json {
-    Json::str(format!("{:016x}", v.to_bits()))
-}
-
-/// Decode one bit-pattern float.
-fn f64_from_bits(value: &Json) -> Decode<f64> {
-    let text = value
-        .as_str()
-        .ok_or_else(|| ProtoError::new("float bits must be a hex string"))?;
-    u64::from_str_radix(text, 16)
-        .map(f64::from_bits)
-        .map_err(|_| ProtoError::new(format!("malformed float bits {text:?}")))
-}
-
 /// Encode one *human-facing* float (scores, α, timings) as a plain JSON
-/// number. This is the single sanctioned escape hatch from the hex-bits
-/// transport: Rust's `{}` float formatting is shortest-round-trip, so a
+/// number. Rust's `{}` float formatting is shortest-round-trip, so a
 /// finite value parses back to the identical f64 — exact in practice,
-/// while staying readable in `curl` output and dashboards. Everything on
-/// the shard-statistics path must keep using [`f64_bits`].
+/// while staying readable in `curl` output and dashboards.
 fn human_f64(v: f64) -> Json {
     // lint:allow(wire-float-exactness: shortest-round-trip decimal, read-back exact, human-facing fields only)
     Json::Num(v)
-}
-
-/// Encode a float slice as bit patterns.
-fn f64_bits_arr(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|&v| f64_bits(v)).collect())
-}
-
-/// Decode an array of bit-pattern floats under `key`.
-fn f64_bits_field(obj: &Json, key: &str) -> Decode<Vec<f64>> {
-    need(obj, key)?
-        .as_arr()
-        .ok_or_else(|| ProtoError::new(format!("field {key:?} must be an array")))?
-        .iter()
-        .map(f64_from_bits)
-        .collect()
-}
-
-/// The wire form of one shard's change-signal slice
-/// ([`charles_core::SignalSlice`]): Δ and relative Δ as float bits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSignalSlice {
-    /// Absolute per-row change over the requested range.
-    pub delta: Vec<f64>,
-    /// Relative per-row change over the requested range.
-    pub rel_delta: Vec<f64>,
-}
-
-impl WireSignalSlice {
-    /// Encode as a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("delta", f64_bits_arr(&self.delta)),
-            ("rel_delta", f64_bits_arr(&self.rel_delta)),
-        ])
-    }
-
-    /// Decode from a JSON value.
-    pub fn from_json(value: &Json) -> Decode<Self> {
-        Ok(WireSignalSlice {
-            delta: f64_bits_field(value, "delta")?,
-            rel_delta: f64_bits_field(value, "rel_delta")?,
-        })
-    }
-}
-
-/// The wire form of phase-A [`ColumnMoments`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireColumnMoments {
-    /// The statistics, bit-exact.
-    pub moments: ColumnMoments,
-}
-
-impl WireColumnMoments {
-    /// Encode as a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("rows", Json::num_usize(self.moments.rows)),
-            ("max_abs", f64_bits_arr(&self.moments.max_abs)),
-            ("finite", Json::Bool(self.moments.finite)),
-        ])
-    }
-
-    /// Decode from a JSON value.
-    pub fn from_json(value: &Json) -> Decode<Self> {
-        Ok(WireColumnMoments {
-            moments: ColumnMoments {
-                rows: need_usize(value, "rows")?,
-                max_abs: f64_bits_field(value, "max_abs")?,
-                finite: need(value, "finite")?
-                    .as_bool()
-                    .ok_or_else(|| ProtoError::new("field \"finite\" must be a boolean"))?,
-            },
-        })
-    }
-}
-
-/// The wire form of phase-B [`GramPartial`]: the absolute first block
-/// index plus each canonical block's `XᵀX`/`Xᵀy` sums as float bits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireGramPartial {
-    /// The statistics, bit-exact.
-    pub partial: GramPartial,
-}
-
-impl WireGramPartial {
-    /// Encode as a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("first_block", Json::num_usize(self.partial.first_block)),
-            (
-                "blocks",
-                Json::Arr(
-                    self.partial
-                        .blocks()
-                        .iter()
-                        .map(|b| {
-                            Json::obj([
-                                ("xtx", f64_bits_arr(b.xtx())),
-                                ("xty", f64_bits_arr(b.xty())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decode from a JSON value.
-    pub fn from_json(value: &Json) -> Decode<Self> {
-        let blocks = need(value, "blocks")?
-            .as_arr()
-            .ok_or_else(|| ProtoError::new("field \"blocks\" must be an array"))?
-            .iter()
-            .map(|b| {
-                Ok(GramBlock::new(
-                    f64_bits_field(b, "xtx")?,
-                    f64_bits_field(b, "xty")?,
-                ))
-            })
-            .collect::<Decode<Vec<_>>>()?;
-        Ok(WireGramPartial {
-            partial: GramPartial::new(need_usize(value, "first_block")?, blocks),
-        })
-    }
 }
 
 /// The wire form of a [`Query`]: what to explain and optional overrides.
@@ -510,7 +360,6 @@ impl WireDatasetStats {
             ("evictions", Json::num_usize(d.evictions)),
             ("approx_bytes", Json::num_usize(d.approx_bytes)),
             ("last_used_tick", Json::num_usize(d.last_used_tick as usize)),
-            ("shards", Json::num_usize(d.shards)),
             ("sealed", Json::Bool(d.sealed)),
             (
                 "session",
@@ -564,13 +413,8 @@ impl WireDatasetStats {
                 evictions: need_usize(value, "evictions")?,
                 approx_bytes: need_usize(value, "approx_bytes")?,
                 last_used_tick: need_usize(value, "last_used_tick")? as u64,
-                // Absent on pre-sharding peers: default to unsharded.
-                shards: value.get("shards").and_then(Json::as_usize).unwrap_or(1),
                 // Absent on pre-compression peers: default to unsealed.
-                sealed: value
-                    .get("sealed")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false),
+                sealed: value.get("sealed").and_then(Json::as_bool).unwrap_or(false),
             },
             session,
         })
@@ -626,48 +470,6 @@ pub enum Request {
         /// Key attribute to align on (`None` = declared key/positional).
         key: Option<String>,
     },
-    /// Worker role: the change-signal slice of one block-aligned row
-    /// range (`[start, start + len)`) of a dataset's target attribute.
-    ShardSignals {
-        /// Registered dataset name.
-        dataset: String,
-        /// Target attribute.
-        target: String,
-        /// First row of the range (must sit on the Gram block grid).
-        start: usize,
-        /// Row count of the range.
-        len: usize,
-    },
-    /// Worker role: phase-A column moments of one block-aligned row range.
-    ShardMoments {
-        /// Registered dataset name.
-        dataset: String,
-        /// Target attribute.
-        target: String,
-        /// Transformation-attribute subset, in subset order.
-        tran_attrs: Vec<String>,
-        /// First row of the range.
-        start: usize,
-        /// Row count of the range.
-        len: usize,
-    },
-    /// Worker role: phase-B blocked Gram statistics of one block-aligned
-    /// row range, under coordinator-derived conditioning scales.
-    ShardGram {
-        /// Registered dataset name.
-        dataset: String,
-        /// Target attribute.
-        target: String,
-        /// Transformation-attribute subset, in subset order.
-        tran_attrs: Vec<String>,
-        /// Conditioning scales from the merged phase-A moments (bit-exact
-        /// on the wire — the fit divides by them).
-        scales: Vec<f64>,
-        /// First row of the range.
-        start: usize,
-        /// Row count of the range.
-        len: usize,
-    },
 }
 
 impl Request {
@@ -680,9 +482,6 @@ impl Request {
             Request::ListTargets { .. } => "list_targets",
             Request::Stats { .. } => "stats",
             Request::LoadCsv { .. } => "load_csv",
-            Request::ShardSignals { .. } => "shard_signals",
-            Request::ShardMoments { .. } => "shard_moments",
-            Request::ShardGram { .. } => "shard_gram",
         }
     }
 
@@ -735,45 +534,6 @@ impl Request {
                 pairs.push(("source_csv".into(), Json::str(source_csv)));
                 pairs.push(("target_csv".into(), Json::str(target_csv)));
                 pairs.push(("key".into(), opt_to_json(key, |k| Json::str(k.clone()))));
-            }
-            Request::ShardSignals {
-                dataset,
-                target,
-                start,
-                len,
-            } => {
-                pairs.push(("dataset".into(), Json::str(dataset)));
-                pairs.push(("target".into(), Json::str(target)));
-                pairs.push(("start".into(), Json::num_usize(*start)));
-                pairs.push(("len".into(), Json::num_usize(*len)));
-            }
-            Request::ShardMoments {
-                dataset,
-                target,
-                tran_attrs,
-                start,
-                len,
-            } => {
-                pairs.push(("dataset".into(), Json::str(dataset)));
-                pairs.push(("target".into(), Json::str(target)));
-                pairs.push(("tran_attrs".into(), Json::str_arr(tran_attrs)));
-                pairs.push(("start".into(), Json::num_usize(*start)));
-                pairs.push(("len".into(), Json::num_usize(*len)));
-            }
-            Request::ShardGram {
-                dataset,
-                target,
-                tran_attrs,
-                scales,
-                start,
-                len,
-            } => {
-                pairs.push(("dataset".into(), Json::str(dataset)));
-                pairs.push(("target".into(), Json::str(target)));
-                pairs.push(("tran_attrs".into(), Json::str_arr(tran_attrs)));
-                pairs.push(("scales".into(), f64_bits_arr(scales)));
-                pairs.push(("start".into(), Json::num_usize(*start)));
-                pairs.push(("len".into(), Json::num_usize(*len)));
             }
         }
         Json::Obj(pairs)
@@ -828,27 +588,6 @@ impl Request {
                     },
                 })
             }
-            "shard_signals" => Ok(Request::ShardSignals {
-                dataset: need_str(value, "dataset")?,
-                target: need_str(value, "target")?,
-                start: need_usize(value, "start")?,
-                len: need_usize(value, "len")?,
-            }),
-            "shard_moments" => Ok(Request::ShardMoments {
-                dataset: need_str(value, "dataset")?,
-                target: need_str(value, "target")?,
-                tran_attrs: str_arr(value, "tran_attrs")?,
-                start: need_usize(value, "start")?,
-                len: need_usize(value, "len")?,
-            }),
-            "shard_gram" => Ok(Request::ShardGram {
-                dataset: need_str(value, "dataset")?,
-                target: need_str(value, "target")?,
-                tran_attrs: str_arr(value, "tran_attrs")?,
-                scales: f64_bits_field(value, "scales")?,
-                start: need_usize(value, "start")?,
-                len: need_usize(value, "len")?,
-            }),
             "load_csv" => Ok(Request::LoadCsv {
                 dataset: need_str(value, "dataset")?,
                 source_csv: need_str(value, "source_csv")?,
@@ -897,10 +636,6 @@ impl ErrorEnvelope {
             CharlesError::NoCandidates(_) => (422, "no_candidates"),
             CharlesError::Relation(_) => (400, "bad_data"),
             CharlesError::Numerics(_) | CharlesError::Cluster(_) => (500, "internal"),
-            // The coordinator could not complete a distributed query: a
-            // worker went away and no live worker could take over. Server
-            // state, not a client mistake.
-            CharlesError::Distributed(_) => (503, "worker_unavailable"),
         };
         (status, ErrorEnvelope::new(code, e.to_string()))
     }
@@ -968,27 +703,6 @@ mod tests {
                 target_csv: "name,pay\nAnne,1100\n".into(),
                 key: Some("name".into()),
             },
-            Request::ShardSignals {
-                dataset: "county".into(),
-                target: "base_salary".into(),
-                start: 128,
-                len: 256,
-            },
-            Request::ShardMoments {
-                dataset: "county".into(),
-                target: "base_salary".into(),
-                tran_attrs: vec!["base_salary".into(), "overtime_pay".into()],
-                start: 0,
-                len: 128,
-            },
-            Request::ShardGram {
-                dataset: "county".into(),
-                target: "base_salary".into(),
-                tran_attrs: vec!["base_salary".into()],
-                scales: vec![123_456.789, 1.0, f64::MIN_POSITIVE, 1.0 / 3.0],
-                start: 384,
-                len: 93,
-            },
         ];
         for request in requests {
             let encoded = request.to_json().encode();
@@ -1032,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn dataset_stats_roundtrip_with_shards() {
+    fn dataset_stats_roundtrip_and_decode_from_older_peers() {
         let stats = WireDatasetStats {
             dataset: DatasetStats {
                 name: "county".into(),
@@ -1042,7 +756,6 @@ mod tests {
                 evictions: 2,
                 approx_bytes: 123_456,
                 last_used_tick: 42,
-                shards: 4,
                 sealed: true,
             },
             session: Some(SessionStats {
@@ -1055,84 +768,55 @@ mod tests {
             }),
         };
         let encoded = stats.to_json().encode();
-        assert!(encoded.contains("\"shards\":4"), "{encoded}");
         assert!(encoded.contains("\"sealed\":true"), "{encoded}");
+        assert!(!encoded.contains("shards"), "{encoded}");
         let decoded = WireDatasetStats::from_json(&Json::parse(&encoded).unwrap()).unwrap();
         assert_eq!(decoded, stats);
-        // Documents from pre-sharding / pre-compression peers (no
-        // "shards" or "sealed" key) decode as unsharded and unsealed.
+        // Documents from pre-compression peers (no "sealed" key) decode
+        // as unsealed.
         let legacy = Json::parse(
             r#"{"name":"x","resident":false,"opens":0,"hits":0,"evictions":0,"approx_bytes":0,"last_used_tick":0,"session":null}"#,
         )
         .unwrap();
-        let legacy = WireDatasetStats::from_json(&legacy).unwrap().dataset;
-        assert_eq!(legacy.shards, 1);
-        assert!(!legacy.sealed);
+        assert!(!WireDatasetStats::from_json(&legacy).unwrap().dataset.sealed);
+        // Peers that still serve row-sharded datasets send a "shards"
+        // count; it decodes and is ignored.
+        let sharded_peer = Json::parse(
+            r#"{"name":"x","resident":true,"opens":1,"hits":2,"evictions":0,"approx_bytes":64,"last_used_tick":3,"shards":4,"sealed":false,"session":null}"#,
+        )
+        .unwrap();
+        let decoded = WireDatasetStats::from_json(&sharded_peer).unwrap().dataset;
+        assert_eq!(
+            (decoded.opens, decoded.hits, decoded.approx_bytes),
+            (1, 2, 64)
+        );
     }
 
     #[test]
-    fn shard_statistics_roundtrip_bit_exactly() {
-        // The stat payloads must survive the wire to the last bit,
-        // including values JSON numbers cannot carry (∞ from an
-        // overflowing product, NaN in a max_abs of poisoned data).
-        let moments = WireColumnMoments {
-            moments: ColumnMoments {
-                rows: 4_096,
-                max_abs: vec![0.0, -0.0, 1.0 / 3.0, f64::INFINITY, f64::NAN, 1.5e308],
-                finite: false,
-            },
-        };
-        let encoded = moments.to_json().encode();
-        let decoded = WireColumnMoments::from_json(&Json::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded.moments.rows, 4_096);
-        assert!(!decoded.moments.finite);
-        for (a, b) in decoded
-            .moments
-            .max_abs
-            .iter()
-            .zip(moments.moments.max_abs.iter())
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "{encoded}");
+    fn removed_shard_ops_get_the_typed_unknown_op_error_on_rpc() {
+        let manager = charles_core::SessionManager::new(charles_core::ManagerConfig::default());
+        for kind in ["signals", "moments", "gram"] {
+            let op = format!("shard_{kind}");
+            let body = format!(
+                r#"{{"v":1,"op":"{op}","dataset":"county","target":"base_salary","tran_attrs":["base_salary"],"scales":["3ff0000000000000"],"start":0,"len":128}}"#
+            );
+            let request = crate::http::HttpRequest {
+                method: "POST".into(),
+                path: "/v1/rpc".into(),
+                version: "HTTP/1.1".into(),
+                headers: Vec::new(),
+                body: body.into_bytes(),
+            };
+            let (status, response) = crate::server::route(&manager, &request);
+            assert_eq!(status, 400, "{op}");
+            let envelope = ErrorEnvelope::from_json(&response).unwrap();
+            assert_eq!(envelope.code, "bad_request", "{op}");
+            assert!(
+                envelope.message.contains("unknown op"),
+                "{op}: {}",
+                envelope.message
+            );
         }
-
-        let partial = WireGramPartial {
-            partial: GramPartial::new(
-                7,
-                vec![
-                    GramBlock::new(vec![1.0, 0.1 + 0.2, -0.0, 4.0], vec![1e-300, 2.0]),
-                    GramBlock::new(vec![0.0; 4], vec![f64::MAX, f64::MIN_POSITIVE]),
-                ],
-            ),
-        };
-        let encoded = partial.to_json().encode();
-        let decoded = WireGramPartial::from_json(&Json::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded.partial, partial.partial);
-
-        let slice = WireSignalSlice {
-            delta: vec![0.30000000000000004, -1.5e-320],
-            rel_delta: vec![f64::NEG_INFINITY, 0.0],
-        };
-        let encoded = slice.to_json().encode();
-        let decoded = WireSignalSlice::from_json(&Json::parse(&encoded).unwrap()).unwrap();
-        for (a, b) in decoded.delta.iter().zip(slice.delta.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in decoded.rel_delta.iter().zip(slice.rel_delta.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        // Malformed bit strings are rejected, not misparsed.
-        let bad = Json::parse(r#"{"delta":["zz"],"rel_delta":[]}"#).unwrap();
-        assert!(WireSignalSlice::from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn distributed_error_maps_to_worker_unavailable() {
-        let (status, envelope) =
-            ErrorEnvelope::from_charles(&CharlesError::Distributed("worker gone".into()));
-        assert_eq!(status, 503);
-        assert_eq!(envelope.code, "worker_unavailable");
-        assert!(envelope.message.contains("worker gone"));
     }
 
     #[test]

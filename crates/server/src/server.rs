@@ -29,11 +29,9 @@
 use crate::http::{read_request, write_response, HttpRequest, ReadError};
 use crate::json::Json;
 use crate::proto::{
-    ErrorEnvelope, Request, WireColumnMoments, WireDatasetStats, WireGramPartial, WireQuery,
-    WireQueryResult, WireSignalSlice, PROTOCOL_VERSION,
+    ErrorEnvelope, Request, WireDatasetStats, WireQuery, WireQueryResult, PROTOCOL_VERSION,
 };
 use charles_core::{CharlesError, SessionManager};
-use charles_relation::RowRange;
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -130,7 +128,7 @@ impl Server {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("charles-worker-{i}"))
+                    .name(format!("charles-serve-{i}"))
                     .spawn(move || worker_loop(&shared))
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -298,7 +296,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
 }
 
 /// Route one HTTP request to a protocol [`Request`] and dispatch it.
-fn route(manager: &SessionManager, request: &HttpRequest) -> (u16, Json) {
+pub(crate) fn route(manager: &SessionManager, request: &HttpRequest) -> (u16, Json) {
     match route_inner(manager, request) {
         Ok(body) => (200, body),
         Err((status, envelope)) => (status, envelope.to_json()),
@@ -506,15 +504,6 @@ fn route_inner(manager: &SessionManager, request: &HttpRequest) -> RouteResult {
     }
 }
 
-/// A shard-statistics row range from wire-supplied `start`/`len`,
-/// rejecting overflow as a client error.
-fn shard_range(start: usize, len: usize) -> Result<RowRange, (u16, ErrorEnvelope)> {
-    start
-        .checked_add(len)
-        .map(|end| RowRange::new(start, end))
-        .ok_or_else(|| bad_request("shard range start + len overflows"))
-}
-
 /// Execute a protocol request against the manager. Shared by every route
 /// and by `/v1/rpc`.
 pub fn dispatch(manager: &SessionManager, request: &Request) -> RouteResult {
@@ -599,55 +588,6 @@ pub fn dispatch(manager: &SessionManager, request: &Request) -> RouteResult {
                     ("resident_bytes", Json::num_usize(manager.resident_bytes())),
                 ])),
             }
-        }
-        // The worker role: block-range shard statistics, serialized
-        // bit-exactly (see the Wire* types in [`crate::proto`]). The
-        // session plane behind these is the ordinary cached one, so a
-        // worker serving many ranges of one dataset extracts each column
-        // once and keeps it for the dataset's residency. `start + len`
-        // is hostile input: checked addition, so an overflowing request
-        // is a 400 in every build profile rather than a debug panic.
-        Request::ShardSignals {
-            dataset,
-            target,
-            start,
-            len,
-        } => {
-            let range = shard_range(*start, *len)?;
-            let session = manager.open_or_get(dataset).map_err(open_err)?;
-            let (delta, rel_delta) = session
-                .shard_signal_slice(target, range)
-                .map_err(engine_err)?;
-            Ok(WireSignalSlice { delta, rel_delta }.to_json())
-        }
-        Request::ShardMoments {
-            dataset,
-            target,
-            tran_attrs,
-            start,
-            len,
-        } => {
-            let range = shard_range(*start, *len)?;
-            let session = manager.open_or_get(dataset).map_err(open_err)?;
-            let moments = session
-                .shard_column_moments(target, tran_attrs, range)
-                .map_err(engine_err)?;
-            Ok(WireColumnMoments { moments }.to_json())
-        }
-        Request::ShardGram {
-            dataset,
-            target,
-            tran_attrs,
-            scales,
-            start,
-            len,
-        } => {
-            let range = shard_range(*start, *len)?;
-            let session = manager.open_or_get(dataset).map_err(open_err)?;
-            let partial = session
-                .shard_gram_partial(target, tran_attrs, scales, range)
-                .map_err(engine_err)?;
-            Ok(WireGramPartial { partial }.to_json())
         }
         Request::LoadCsv {
             dataset,

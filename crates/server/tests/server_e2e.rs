@@ -2,7 +2,7 @@
 //! datasets, eviction correctness, error envelopes, backpressure, and
 //! graceful shutdown.
 
-use charles_core::{DatasetSpec, ManagerConfig, Query, Session, SessionManager};
+use charles_core::{ManagerConfig, Query, Session, SessionManager};
 use charles_server::{http_request, HttpClient, Json, Server, ServerConfig, WireQuery};
 use charles_synth::example1;
 use std::io::Write;
@@ -492,8 +492,7 @@ fn keep_alive_client_reuses_one_connection_until_idle_timeout() {
 
     // Go idle past the timeout: the server's reaper closes the
     // connection, and the next request must ride a transparent reconnect
-    // — long-lived coordinator→worker channels depend on this — instead
-    // of surfacing a stale-close error.
+    // instead of surfacing a stale-close error.
     std::thread::sleep(std::time::Duration::from_millis(800));
     client
         .set_read_timeout(Some(std::time::Duration::from_secs(2)))
@@ -524,300 +523,6 @@ fn keep_alive_client_reuses_one_connection_until_idle_timeout() {
     assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
     assert_eq!(client.reconnects(), 1, "no spurious reconnects");
     server.shutdown();
-}
-
-#[test]
-fn sharded_dataset_over_the_wire_matches_unsharded() {
-    let manager = Arc::new(SessionManager::new(ManagerConfig::default()));
-    let scenario = example1();
-    let pair = charles_relation::SnapshotPair::align(scenario.source, scenario.target).unwrap();
-    manager.register_pair("plain", pair.clone());
-    manager.register("sharded", DatasetSpec::sharded(DatasetSpec::Pair(pair), 3));
-    let mut server = start(Arc::clone(&manager));
-    let addr = server.local_addr();
-
-    let strip = |body: &str| -> String {
-        let mut doc = Json::parse(body).unwrap();
-        match &mut doc {
-            Json::Obj(pairs) => pairs.retain(|(k, _)| k != "elapsed_ms"),
-            _ => panic!("object expected"),
-        }
-        if let Some(Json::Arr(results)) = doc.get("results").cloned() {
-            let stripped: Vec<Json> = results
-                .into_iter()
-                .map(|mut r| {
-                    if let Json::Obj(pairs) = &mut r {
-                        pairs.retain(|(k, _)| k != "elapsed_ms");
-                    }
-                    r
-                })
-                .collect();
-            if let Json::Obj(pairs) = &mut doc {
-                for (k, v) in pairs.iter_mut() {
-                    if k == "results" {
-                        *v = Json::Arr(stripped.clone());
-                    }
-                }
-            }
-        }
-        doc.encode()
-    };
-    let exchange = |dataset: &str, op: &str, body: &str| -> String {
-        let response = http_request(
-            addr,
-            "POST",
-            &format!("/v1/datasets/{dataset}/{op}"),
-            Some(body),
-        )
-        .unwrap();
-        assert_eq!(response.status, 200, "{dataset}/{op}: {}", response.body);
-        strip(&response.body)
-    };
-
-    // run_query, run_multi, and sweep_alpha must be byte-for-byte equal
-    // between the sharded and unsharded registrations.
-    let query = query_body("bonus");
-    assert_eq!(
-        exchange("sharded", "query", &query),
-        exchange("plain", "query", &query)
-    );
-    let multi = r#"{"queries":[{"target":"bonus"},{"target":"bonus","alpha":1.0}]}"#;
-    assert_eq!(
-        exchange("sharded", "multi", multi),
-        exchange("plain", "multi", multi)
-    );
-    let sweep = r#"{"query":{"target":"bonus"},"alphas":[0.0,0.25,0.5,1.0]}"#;
-    assert_eq!(
-        exchange("sharded", "sweep", sweep),
-        exchange("plain", "sweep", sweep)
-    );
-
-    // The shard count is observable over the wire.
-    let stats = http_request(addr, "GET", "/v1/datasets/sharded/stats", None).unwrap();
-    assert_eq!(stats.status, 200, "{}", stats.body);
-    let doc = Json::parse(&stats.body).unwrap();
-    assert_eq!(doc.get("shards").unwrap().as_usize(), Some(3));
-    let plain_stats = http_request(addr, "GET", "/v1/datasets/plain/stats", None).unwrap();
-    assert_eq!(
-        Json::parse(&plain_stats.body)
-            .unwrap()
-            .get("shards")
-            .unwrap()
-            .as_usize(),
-        Some(1)
-    );
-
-    // Evicting the sharded dataset releases every shard plane: nothing of
-    // it stays resident.
-    let before = manager.resident_sessions();
-    let evicted = http_request(addr, "POST", "/v1/datasets/sharded/evict", None).unwrap();
-    assert_eq!(evicted.status, 200, "{}", evicted.body);
-    assert!(evicted.body.contains("\"evicted\":true"));
-    assert_eq!(manager.resident_sessions(), before - 1);
-    assert!(!manager.dataset_stats("sharded").unwrap().resident);
-    assert_eq!(manager.dataset_stats("sharded").unwrap().approx_bytes, 0);
-
-    // Re-opening after eviction still agrees with the unsharded answers.
-    assert_eq!(
-        exchange("sharded", "query", &query),
-        exchange("plain", "query", &query)
-    );
-    server.shutdown();
-}
-
-#[test]
-fn worker_shard_ops_serve_bit_exact_statistics() {
-    use charles_relation::RowRange;
-    let manager = demo_manager();
-    let session = manager.open_or_get("demo").unwrap();
-    let mut server = start(Arc::clone(&manager));
-    let addr = server.local_addr();
-
-    let rpc = |request: &charles_server::Request| -> charles_server::HttpResponse {
-        http_request(addr, "POST", "/v1/rpc", Some(&request.to_json().encode())).unwrap()
-    };
-    let tran = vec!["bonus".to_string()];
-    let range = RowRange::new(0, session.pair().len());
-
-    // Phase A over the wire == phase A computed directly, to the bit.
-    let expected = session.shard_column_moments("bonus", &tran, range).unwrap();
-    let response = rpc(&charles_server::Request::ShardMoments {
-        dataset: "demo".into(),
-        target: "bonus".into(),
-        tran_attrs: tran.clone(),
-        start: 0,
-        len: range.len(),
-    });
-    assert_eq!(response.status, 200, "{}", response.body);
-    let moments =
-        charles_server::WireColumnMoments::from_json(&Json::parse(&response.body).unwrap())
-            .unwrap()
-            .moments;
-    assert_eq!(moments.rows, expected.rows);
-    assert_eq!(moments.finite, expected.finite);
-    for (a, b) in moments.max_abs.iter().zip(expected.max_abs.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    // Phase B under the merged scales, ditto.
-    let scales = expected.validated_scales(1).unwrap();
-    let expected_gram = session
-        .shard_gram_partial("bonus", &tran, &scales, range)
-        .unwrap();
-    let response = rpc(&charles_server::Request::ShardGram {
-        dataset: "demo".into(),
-        target: "bonus".into(),
-        tran_attrs: tran.clone(),
-        scales: scales.clone(),
-        start: 0,
-        len: range.len(),
-    });
-    assert_eq!(response.status, 200, "{}", response.body);
-    let partial = charles_server::WireGramPartial::from_json(&Json::parse(&response.body).unwrap())
-        .unwrap()
-        .partial;
-    assert_eq!(partial, expected_gram);
-
-    // Signal slices, ditto.
-    let (delta, rel_delta) = session.shard_signal_slice("bonus", range).unwrap();
-    let response = rpc(&charles_server::Request::ShardSignals {
-        dataset: "demo".into(),
-        target: "bonus".into(),
-        start: 0,
-        len: range.len(),
-    });
-    assert_eq!(response.status, 200, "{}", response.body);
-    let slice =
-        charles_server::WireSignalSlice::from_json(&Json::parse(&response.body).unwrap()).unwrap();
-    for (a, b) in slice.delta.iter().zip(delta.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    for (a, b) in slice.rel_delta.iter().zip(rel_delta.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    // Off-grid and out-of-bounds ranges are typed client errors.
-    let off_grid = rpc(&charles_server::Request::ShardSignals {
-        dataset: "demo".into(),
-        target: "bonus".into(),
-        start: 5,
-        len: 2,
-    });
-    assert_eq!(off_grid.status, 400, "{}", off_grid.body);
-    assert!(off_grid.body.contains("block grid"), "{}", off_grid.body);
-    let beyond = rpc(&charles_server::Request::ShardMoments {
-        dataset: "demo".into(),
-        target: "bonus".into(),
-        tran_attrs: tran,
-        start: 0,
-        len: 10_000,
-    });
-    assert_eq!(beyond.status, 400, "{}", beyond.body);
-    // start + len overflowing usize must be a 400 in every build
-    // profile, not a wrap (release) or panic (debug). The JSON layer
-    // already bounds wire integers at 2^53, so this is only reachable
-    // through the public `dispatch` API — exercised directly.
-    let (status, envelope) = charles_server::dispatch(
-        &manager,
-        &charles_server::Request::ShardSignals {
-            dataset: "demo".into(),
-            target: "bonus".into(),
-            start: usize::MAX,
-            len: 2,
-        },
-    )
-    .unwrap_err();
-    assert_eq!(status, 400);
-    assert!(
-        envelope.message.contains("overflow"),
-        "{}",
-        envelope.message
-    );
-    server.shutdown();
-}
-
-#[test]
-fn remote_dataset_spec_answers_like_the_plain_spec() {
-    use charles_core::DatasetSpec;
-    use charles_server::{remote_dataset_spec, upload_csv};
-
-    // CSV text is the shared currency: workers and the coordinator's
-    // local copy parse the same bytes, so answers can be compared
-    // byte-for-byte.
-    let scenario = example1();
-    let mut source_csv = Vec::new();
-    let mut target_csv = Vec::new();
-    charles_relation::write_csv(&scenario.source, &mut source_csv).unwrap();
-    charles_relation::write_csv(&scenario.target, &mut target_csv).unwrap();
-    let source_csv = String::from_utf8(source_csv).unwrap();
-    let target_csv = String::from_utf8(target_csv).unwrap();
-
-    // Two loopback workers, each hosting the dataset.
-    let mut workers = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..2 {
-        let server = start(Arc::new(SessionManager::new(ManagerConfig::default())));
-        let addr = server.local_addr().to_string();
-        upload_csv(&addr, "demo", &source_csv, &target_csv, Some("name")).unwrap();
-        workers.push(server);
-        addrs.push(addr);
-    }
-
-    // Coordinator manager: the same CSV text registered plain and
-    // remote-backed under two names.
-    let inline = |sc: &str, tc: &str| DatasetSpec::CsvInline {
-        source: sc.to_string(),
-        target: tc.to_string(),
-        key: Some("name".to_string()),
-    };
-    let manager = SessionManager::new(ManagerConfig::default());
-    manager.register("plain", inline(&source_csv, &target_csv));
-    manager.register(
-        "remote",
-        remote_dataset_spec(inline(&source_csv, &target_csv), "demo", addrs.clone(), 0),
-    );
-    // shards = 0 means one per worker; an explicit count is reported
-    // as-is — the registry's `shards` must match the layout the opened
-    // session actually uses.
-    assert_eq!(manager.dataset_stats("remote").unwrap().shards, 2);
-    manager.register(
-        "remote_wide",
-        remote_dataset_spec(inline(&source_csv, &target_csv), "demo", addrs, 5),
-    );
-    assert_eq!(manager.dataset_stats("remote_wide").unwrap().shards, 5);
-    assert_eq!(
-        manager.open_or_get("remote_wide").unwrap().shard_count(),
-        5,
-        "registry stats and session layout must agree"
-    );
-
-    let rankings = |name: &str| -> Vec<(String, u64)> {
-        manager
-            .open_or_get(name)
-            .unwrap()
-            .run(&Query::new("bonus"))
-            .unwrap()
-            .summaries
-            .iter()
-            .map(|s| (s.to_string(), s.scores.score.to_bits()))
-            .collect()
-    };
-    let plain = rankings("plain");
-    assert!(!plain.is_empty());
-    assert_eq!(
-        rankings("remote"),
-        plain,
-        "remote-backed dataset must answer byte-identically"
-    );
-    let remote_session = manager.open_or_get("remote").unwrap();
-    assert_eq!(remote_session.shard_count(), 2);
-
-    // Eviction + re-open re-dials the workers and still agrees.
-    assert!(manager.evict("remote"));
-    assert_eq!(rankings("remote"), plain);
-    for server in &mut workers {
-        server.shutdown();
-    }
 }
 
 #[test]
