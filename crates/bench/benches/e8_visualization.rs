@@ -3,6 +3,7 @@
 
 use charles_bench::engine_for;
 use charles_core::{CharlesConfig, LinearModelTree, PartitionViz};
+use charles_server::RankedSummary;
 use charles_synth::county;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -30,7 +31,15 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(viz.to_string().len()))
     });
     group.bench_function("render_summary_json", |b| {
-        b.iter(|| black_box(charles_core::report::summary_to_json(&top).render().len()))
+        // The wire encoding the server sends for a ranked summary.
+        b.iter(|| {
+            black_box(
+                RankedSummary::from_summary(1, &top)
+                    .to_json()
+                    .encode()
+                    .len(),
+            )
+        })
     });
     group.finish();
 }

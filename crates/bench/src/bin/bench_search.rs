@@ -1,31 +1,17 @@
-//! A/B benchmark of the candidate-evaluation data plane, emitting
-//! `BENCH_search.json`.
+//! Benchmark of the search's statistics kernels, parallel search and
+//! session reruns on the e5 scalability workload (the county payroll
+//! scenario), emitting `BENCH_search.json`.
 //!
-//! Two paths evaluate the *same* candidates on the e5 scalability workload
-//! (the county payroll scenario):
-//!
-//! - **naive** — the seed implementation's behaviour: every candidate
-//!   re-extracts its columns from the table (string-keyed lookups plus
-//!   full `Vec<f64>` copies) and refits the global regression
-//!   ([`charles_core::search::evaluate_candidate_naive`]);
-//! - **shared** — the zero-copy plane: one [`SearchContext`] holds
-//!   `Arc`-shared column views and a global-fit memo keyed by interned
-//!   attribute ids; candidates only read.
-//!
-//! Both paths produce identical summaries (asserted here and in the core
-//! test suite); the JSON records the throughput of each plus the speedup,
-//! seeding the perf trajectory for later PRs.
-//!
-//! A third section measures the **session** mode: a cold one-shot
-//! `Charles::run` against a warm rerun of the identical query on a
-//! long-lived [`charles_core::Session`] — the interactive reload path.
-//! The binary asserts the warm rerun is ≥ 5× faster with byte-identical
-//! ranked summaries, and records `session_warm_speedup`.
-//!
-//! A fourth section measures the **sealed** mode: a fresh session over
-//! compressed columns against a fresh raw session on the identical query.
-//! The binary *asserts* the sealed rankings, score bits and α-sweeps are
-//! byte-identical to the raw ones.
+//! - **Kernels** — the blocked Gram and moment kernels against their
+//!   retained scalar references, on the design the search evaluates. The
+//!   binary asserts the Gram kernel is ≥ 1.5× the scalar one.
+//! - **Parallel search** — end-to-end [`run_search`] wall time over the
+//!   shared [`SearchContext`].
+//! - **Session** — a cold one-shot `Charles::run` against a warm rerun of
+//!   the identical query on a long-lived [`charles_core::Session`] — the
+//!   interactive reload path. The binary asserts the warm rerun is ≥ 5×
+//!   faster with byte-identical ranked summaries, and records
+//!   `session_warm_speedup`.
 //!
 //! Run: `cargo run --release -p charles-bench --bin bench_search [rows] [threads]`
 //!
@@ -36,9 +22,7 @@
 //! ([`charles_core::SearchStats::threads_used`]), not the one requested.
 
 use charles_bench::pair_of;
-use charles_core::search::{
-    evaluate_candidate, evaluate_candidate_naive, generate_candidates, run_search, SearchContext,
-};
+use charles_core::search::{generate_candidates, run_search, SearchContext};
 use charles_core::{Charles, CharlesConfig, Query, Session};
 use charles_numerics::ols::{
     column_moments, column_moments_scalar, gram_partial, gram_partial_scalar,
@@ -82,41 +66,7 @@ fn main() {
         candidates.len()
     );
 
-    // Shared zero-copy plane: one context, candidates only read.
-    let started = Instant::now();
-    let ctx = SearchContext::new(&pair, target, &tran_names, &config).expect("context");
-    let shared: Vec<_> = candidates
-        .iter()
-        .map(|c| evaluate_candidate(&ctx, c).expect("evaluate"))
-        .collect();
-    let shared_secs = started.elapsed().as_secs_f64();
-
-    // Naive plane: per-candidate extraction + refit, as in the seed.
-    let started = Instant::now();
-    let naive: Vec<_> = candidates
-        .iter()
-        .map(|c| evaluate_candidate_naive(&pair, target, c, &config).expect("evaluate"))
-        .collect();
-    let naive_secs = started.elapsed().as_secs_f64();
-
-    // The two planes must agree summary-for-summary.
-    let mut produced = 0usize;
-    for (i, (s, n)) in shared.iter().zip(naive.iter()).enumerate() {
-        match (s, n) {
-            (None, None) => {}
-            (Some(s), Some(n)) => {
-                assert_eq!(
-                    s.signature(),
-                    n.signature(),
-                    "data planes disagree on candidate {i}"
-                );
-                produced += 1;
-            }
-            _ => panic!("data planes disagree on candidate {i} feasibility"),
-        }
-    }
-
-    // Kernel microbench: the blocked statistics kernels (PR 6) against
+    // Kernel microbench: the blocked statistics kernels against
     // their retained scalar references, on the same e5 design the search
     // evaluates (d = 3: intercept + base_salary + overtime_pay). Each
     // kernel runs enough repetitions to amortize timer noise; black_box
@@ -238,116 +188,8 @@ fn main() {
         "session and one-shot engine disagree"
     );
 
-    // Raw reference for the sealed section: a fresh session, same query.
-    let started = Instant::now();
-    let raw_session = Session::open(pair.clone()).expect("raw session");
-    let raw_result = raw_session.run(&query).expect("raw run");
-    let raw_secs = started.elapsed().as_secs_f64();
-    let raw_scores: Vec<u64> = raw_result
-        .summaries
-        .iter()
-        .map(|s| s.scores.score.to_bits())
-        .collect();
-
-    // Compressed (sealed) mode: the same pair with every column sealed
-    // into per-block encodings (RLE/dictionary packing, delta/bitpack,
-    // LZ'd dictionary payloads — see `charles_relation::compress`).
-    // Resident bytes are measured on the freshly sealed pair, before any
-    // decode cache fills; the ratio floor is a CI gate on the county
-    // workload. Sealing is a layout choice, so rankings, score bits, and
-    // α-sweeps must be byte-identical to the raw path.
-    let sealed_pair = pair.sealed();
-    let raw_plane_bytes = pair.source().approx_bytes() + pair.target().approx_bytes();
-    let sealed_plane_bytes =
-        sealed_pair.source().approx_bytes() + sealed_pair.target().approx_bytes();
-    let compression_ratio = raw_plane_bytes as f64 / sealed_plane_bytes.max(1) as f64;
-    let compressed_bytes_per_row = sealed_plane_bytes as f64 / (2 * rows.max(1)) as f64;
-
-    // Zone-map pruning: probe the sealed source with predicates whose
-    // literals sit inside, below, and above the data range, then read the
-    // block skip/scan counters off the compressed columns.
-    use charles_relation::{CmpOp, Predicate, Value};
-    let probes = [
-        Predicate::cmp("base_salary", CmpOp::Ge, Value::Float(0.0)),
-        Predicate::cmp("base_salary", CmpOp::Gt, Value::Float(1e12)),
-        Predicate::between("grade", Value::Int(12), Value::Int(18)),
-        Predicate::cmp("overtime_pay", CmpOp::Le, Value::Float(2_500.0)),
-    ];
-    for probe in &probes {
-        probe.eval_mask(sealed_pair.source()).expect("sealed probe");
-    }
-    let (mut blocks_skipped, mut blocks_scanned) = (0u64, 0u64);
-    for col in sealed_pair.source().columns() {
-        if let Some(data) = col.compressed_data() {
-            let (skipped, scanned) = data.zone_stats();
-            blocks_skipped += skipped;
-            blocks_scanned += scanned;
-        }
-    }
-    let zone_map_block_skip_frac =
-        blocks_skipped as f64 / (blocks_skipped + blocks_scanned).max(1) as f64;
-
-    let sweep_alphas = [0.25, 0.75];
-    let base_sweep_bits: Vec<Vec<u64>> = raw_session
-        .sweep_alpha(&raw_result, &sweep_alphas)
-        .expect("raw sweep")
-        .iter()
-        .map(|r| {
-            r.summaries
-                .iter()
-                .map(|s| s.scores.score.to_bits())
-                .collect()
-        })
-        .collect();
-    let sealed_config = CharlesConfig::default().with_sealed_columns(true);
-    let started = Instant::now();
-    let sealed_session =
-        Session::open_with_config(pair.clone(), sealed_config).expect("sealed session");
-    let sealed_result = sealed_session.run(&query).expect("sealed run");
-    let sealed_secs = started.elapsed().as_secs_f64();
-    assert_eq!(
-        render(&sealed_result.summaries),
-        render(&raw_result.summaries),
-        "sealed rankings must be byte-identical to raw"
-    );
-    let sealed_scores: Vec<u64> = sealed_result
-        .summaries
-        .iter()
-        .map(|s| s.scores.score.to_bits())
-        .collect();
-    assert_eq!(
-        sealed_scores, raw_scores,
-        "sealed score bits must be identical to raw"
-    );
-    let sweep_bits: Vec<Vec<u64>> = sealed_session
-        .sweep_alpha(&sealed_result, &sweep_alphas)
-        .expect("sealed sweep")
-        .iter()
-        .map(|r| {
-            r.summaries
-                .iter()
-                .map(|s| s.scores.score.to_bits())
-                .collect()
-        })
-        .collect();
-    assert_eq!(
-        sweep_bits, base_sweep_bits,
-        "sealed α-sweep bits must be identical to raw"
-    );
-    eprintln!(
-        "compressed plane: {compressed_bytes_per_row:.1} B/row sealed vs \
-         {:.1} B/row raw ({compression_ratio:.2}x), zone maps skipped \
-         {blocks_skipped}/{} probed blocks; sealed rankings byte-identical",
-        raw_plane_bytes as f64 / (2 * rows.max(1)) as f64,
-        blocks_skipped + blocks_scanned,
-    );
-
-    let n_cands = candidates.len() as f64;
-    let shared_tput = n_cands / shared_secs;
-    let naive_tput = n_cands / naive_secs;
-    let speedup = shared_tput / naive_tput;
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"raw_run_seconds\": {raw_secs:.4},\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true\n}}\n",
+        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2}\n}}\n",
         candidates.len(),
         stats.threads_used,
         ranked.len(),
@@ -356,25 +198,11 @@ fn main() {
     std::fs::write("BENCH_search.json", &json).expect("write BENCH_search.json");
     print!("{json}");
     eprintln!(
-        "speedup (shared vs naive, single-threaded): {speedup:.2}x; \
-         warm session rerun vs cold run: {session_warm_speedup:.2}x — wrote BENCH_search.json"
-    );
-    assert!(
-        speedup >= 1.5,
-        "shared data plane must be ≥ 1.5x the naive extraction path, got {speedup:.2}x"
+        "warm session rerun vs cold run: {session_warm_speedup:.2}x — wrote BENCH_search.json"
     );
     assert!(
         session_warm_speedup >= 5.0,
         "warm session rerun must be ≥ 5x a cold run, got {session_warm_speedup:.2}x"
-    );
-    assert!(
-        compression_ratio >= 3.0,
-        "sealed county plane must be ≤ 1/3 of the raw plane's bytes, got \
-         {compression_ratio:.2}x ({compressed_bytes_per_row:.1} B/row)"
-    );
-    assert!(
-        zone_map_block_skip_frac > 0.0,
-        "zone maps must skip at least one probed block"
     );
     assert!(
         kernel_vs_scalar_speedup >= 1.5,

@@ -80,10 +80,6 @@ fn category_codes(col: &Column) -> Vec<u32> {
                 }
             })
             .collect(),
-        // Sealed columns decode to the same codes/values: recurse on the
-        // raw representation instead of falling through to the wildcard,
-        // which would collapse a compressed string column to one category.
-        Column::Compressed { .. } => category_codes(&col.decompress()),
         _ => (0..col.len())
             .map(|i| if col.is_valid(i) { 1 } else { 0 })
             .collect(),

@@ -74,15 +74,6 @@ pub struct CharlesConfig {
     pub threads: usize,
     /// RNG seed for any randomized component (kept for reproducibility).
     pub seed: u64,
-    /// Seal the snapshot pair's columns into per-block compressed
-    /// encodings when a session opens (RLE/dictionary packing for codes,
-    /// delta/bitpack for integer-valued numerics; see
-    /// `charles_relation::CompressedColumn`). Purely a *layout* choice:
-    /// sealed sessions answer every query `f64::to_bits`-identically to
-    /// unsealed ones, trading first-touch decode work for resident bytes.
-    /// Only consulted at `Session::open*` time — per-query config
-    /// overrides cannot re-seal an open session.
-    pub seal_columns: bool,
 }
 
 impl Default for CharlesConfig {
@@ -107,7 +98,6 @@ impl Default for CharlesConfig {
             change_tolerance: 1e-9,
             threads: 0,
             seed: 0xC4A7,
-            seal_columns: false,
         }
     }
 }
@@ -159,13 +149,6 @@ impl CharlesConfig {
     /// Set worker thread count (0 = auto).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Toggle sealing columns into compressed block encodings at session
-    /// open (see [`CharlesConfig::seal_columns`]).
-    pub fn with_sealed_columns(mut self, on: bool) -> Self {
-        self.seal_columns = on;
         self
     }
 
@@ -264,11 +247,9 @@ mod tests {
             .with_max_summaries(5)
             .with_snapping(false)
             .with_partition_method(PartitionMethod::ResidualQuantile)
-            .with_threads(2)
-            .with_sealed_columns(true);
+            .with_threads(2);
         assert_eq!(c.alpha, 0.75);
         assert_eq!(c.k_max, 3);
-        assert!(c.seal_columns);
         assert!(!c.snap_constants);
         assert_eq!(c.effective_threads(), 2);
         assert!(c.validate().is_ok());

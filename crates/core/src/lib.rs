@@ -77,7 +77,6 @@ pub mod features;
 pub mod manager;
 pub mod partition;
 pub mod recovery;
-pub mod report;
 pub mod score;
 pub mod search;
 pub mod session;
@@ -101,8 +100,8 @@ pub use recovery::{
 };
 pub use score::ScoringContext;
 pub use search::{
-    evaluate_candidate, evaluate_candidate_naive, generate_candidates, run_search, Candidate,
-    PlaneCaches, SearchContext, SearchStats,
+    evaluate_candidate, generate_candidates, run_search, Candidate, PlaneCaches, SearchContext,
+    SearchStats,
 };
 pub use session::{Query, QueryResult, Session, SessionStats};
 pub use summary::{ChangeSummary, InterpretabilityBreakdown, Scores};

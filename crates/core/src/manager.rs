@@ -195,11 +195,6 @@ pub struct DatasetStats {
     /// LRU position: how many `open_or_get` calls (across all datasets)
     /// had happened when this one was last used. Larger = more recent.
     pub last_used_tick: u64,
-    /// Whether this dataset's sessions seal their columns into compressed
-    /// block encodings at open (per-dataset config; see
-    /// [`CharlesConfig::seal_columns`]). Reported so operators can tell
-    /// which residents pay decode-on-read for their byte footprint.
-    pub sealed: bool,
 }
 
 struct DatasetEntry {
@@ -538,7 +533,6 @@ impl SessionManager {
                 evictions: e.evictions,
                 approx_bytes: e.approx_bytes,
                 last_used_tick: e.last_used_tick,
-                sealed: e.config.seal_columns,
             })
             .collect()
     }
@@ -678,31 +672,6 @@ mod tests {
         assert_eq!((stats.opens, stats.hits), (1, 1));
         assert!(stats.resident);
         assert!(manager.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn sealed_datasets_report_and_serve() {
-        let manager = SessionManager::new(ManagerConfig::default());
-        manager.register_pair("raw", tiny_pair(1.05));
-        manager.register_with_config(
-            "packed",
-            DatasetSpec::Pair(tiny_pair(1.05)),
-            CharlesConfig::default().with_sealed_columns(true),
-        );
-        assert!(!manager.dataset_stats("raw").unwrap().sealed);
-        assert!(manager.dataset_stats("packed").unwrap().sealed);
-        // Sealing is a layout choice: rankings must match the raw twin.
-        let raw = rankings(&manager.open_or_get("raw").unwrap());
-        let packed = rankings(&manager.open_or_get("packed").unwrap());
-        assert_eq!(raw, packed);
-        assert!(manager
-            .open_or_get("packed")
-            .unwrap()
-            .pair()
-            .source()
-            .columns()
-            .iter()
-            .any(|c| c.is_compressed()));
     }
 
     #[test]

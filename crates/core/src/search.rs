@@ -944,42 +944,6 @@ fn evaluate_candidate_uncached(
     Ok(best.map(|(summary, _)| summary))
 }
 
-/// Reference ("naive") data plane: rebuild a fresh context for one
-/// candidate, re-extracting every column and refitting the global model —
-/// exactly the per-candidate work the seed implementation did. Kept as an
-/// A/B oracle: `BENCH_search.json` measures the shared data plane against
-/// this path, and the equivalence test in `tests/determinism.rs` asserts
-/// both produce identical summaries.
-pub fn evaluate_candidate_naive(
-    pair: &SnapshotPair,
-    target_attr: &str,
-    candidate: &Candidate,
-    config: &CharlesConfig,
-) -> Result<Option<ChangeSummary>> {
-    let tran_names: Vec<String> = candidate
-        .tran_attrs
-        .iter()
-        .map(|a| a.name().to_string())
-        .collect();
-    let ctx = SearchContext::new(pair, target_attr, &tran_names, config)?;
-    let schema = pair.source().schema();
-    // Re-resolve the candidate against the fresh context's schema.
-    let candidate = Candidate {
-        cond_attrs: candidate
-            .cond_attrs
-            .iter()
-            .map(|a| schema.attr_ref(a.name()))
-            .collect::<charles_relation::Result<_>>()?,
-        tran_attrs: candidate
-            .tran_attrs
-            .iter()
-            .map(|a| schema.attr_ref(a.name()))
-            .collect::<charles_relation::Result<_>>()?,
-        k: candidate.k,
-    };
-    evaluate_candidate(&ctx, &candidate)
-}
-
 /// Evaluate all candidates (in parallel when configured), deduplicate, and
 /// rank by descending score. The result depends only on the inputs, not on
 /// the thread count or thread timing.
@@ -1207,6 +1171,40 @@ mod tests {
         let rendered = summary.to_string();
         assert!(rendered.contains("1.05"), "{rendered}");
         assert!(rendered.contains("1000"), "{rendered}");
+    }
+
+    /// Reference ("naive") data plane: rebuild a fresh context for one
+    /// candidate, re-extracting every column and refitting the global model —
+    /// the per-candidate work the seed implementation did. The oracle the
+    /// shared plane is checked against.
+    fn evaluate_candidate_naive(
+        pair: &SnapshotPair,
+        target_attr: &str,
+        candidate: &Candidate,
+        config: &CharlesConfig,
+    ) -> Result<Option<ChangeSummary>> {
+        let tran_names: Vec<String> = candidate
+            .tran_attrs
+            .iter()
+            .map(|a| a.name().to_string())
+            .collect();
+        let ctx = SearchContext::new(pair, target_attr, &tran_names, config)?;
+        let schema = pair.source().schema();
+        // Re-resolve the candidate against the fresh context's schema.
+        let candidate = Candidate {
+            cond_attrs: candidate
+                .cond_attrs
+                .iter()
+                .map(|a| schema.attr_ref(a.name()))
+                .collect::<charles_relation::Result<_>>()?,
+            tran_attrs: candidate
+                .tran_attrs
+                .iter()
+                .map(|a| schema.attr_ref(a.name()))
+                .collect::<charles_relation::Result<_>>()?,
+            k: candidate.k,
+        };
+        evaluate_candidate(&ctx, &candidate)
     }
 
     #[test]

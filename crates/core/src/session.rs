@@ -60,18 +60,12 @@ use crate::search::{
 };
 use crate::summary::ChangeSummary;
 use crate::transform::Transformation;
-use charles_numerics::ols::GRAM_BLOCK_ROWS;
 use charles_relation::{AttrId, AttrRef, NumericView, SnapshotPair};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-// The relation plane's compressed-block grid and the numerics Gram grid
-// are the same 128-row grid: zone maps and Gram partials align
-// block-for-block. Pin them equal at compile time.
-const _: () = assert!(charles_relation::GRAM_BLOCK_ROWS == GRAM_BLOCK_ROWS);
 
 /// The schema id of a resolved [`AttrRef`]. Refs produced by
 /// `Schema::attr_ref` are always resolved; losing the binding is a
@@ -289,16 +283,8 @@ impl Session {
 
     /// Open a session with a custom configuration. The configuration is
     /// validated lazily, when a query first uses it (mirroring
-    /// [`crate::Charles`]). When the config asks for sealed columns, both
-    /// snapshots are compressed into per-block encodings here, once —
-    /// every later read decodes through the shared block plane (answers
-    /// stay bit-identical; see [`CharlesConfig::seal_columns`]).
+    /// [`crate::Charles`]).
     pub fn open_with_config(pair: SnapshotPair, config: CharlesConfig) -> Result<Self> {
-        let pair = if config.seal_columns {
-            pair.sealed()
-        } else {
-            pair
-        };
         Ok(Session {
             pair,
             config,
@@ -345,10 +331,9 @@ impl Session {
     /// Buffers are counted **once per allocation**, not once per holder:
     /// one seen-set (keyed by `Arc` allocation address) threads through
     /// the tables, the extracted views, the aligned views, and the
-    /// change-signal planes, so a view aliasing a table column — or a
-    /// sealed column's decode cache shared with the plane — adds nothing
-    /// the second time, and the [`crate::SessionManager`] budget sees
-    /// the session's true footprint.
+    /// change-signal planes, so a view aliasing a table column adds
+    /// nothing the second time, and the [`crate::SessionManager`] budget
+    /// sees the session's true footprint.
     pub fn approx_plane_bytes(&self) -> usize {
         let mut seen: HashSet<usize> = HashSet::new();
         let note_view = |seen: &mut HashSet<usize>, v: &NumericView| -> usize {
@@ -1106,58 +1091,6 @@ mod tests {
         let result = session.run(&fig1_query()).unwrap();
         assert!(result.top().unwrap().scores.accuracy > 0.99);
         assert_eq!(session.stats().columns_extracted, cols);
-    }
-
-    #[test]
-    fn sealed_sessions_match_raw_byte_for_byte() {
-        let raw = Session::open(fig1_pair()).unwrap();
-        let base = raw.run(&fig1_query()).unwrap();
-        let render_bits = |r: &QueryResult| -> Vec<(String, u64)> {
-            r.summaries
-                .iter()
-                .map(|s| (s.to_string(), s.scores.score.to_bits()))
-                .collect()
-        };
-        let config = CharlesConfig::default().with_sealed_columns(true);
-        let sealed = Session::open_with_config(fig1_pair(), config).unwrap();
-        assert!(sealed
-            .pair()
-            .source()
-            .columns()
-            .iter()
-            .any(|c| c.is_compressed()));
-        let result = sealed.run(&fig1_query()).unwrap();
-        assert_eq!(render_bits(&result), render_bits(&base));
-        assert_eq!(sealed.targets().unwrap(), raw.targets().unwrap());
-        let swept = sealed.sweep_alpha(&result, &[0.0, 0.5, 1.0]).unwrap();
-        let base_swept = raw.sweep_alpha(&base, &[0.0, 0.5, 1.0]).unwrap();
-        for (a, b) in swept.iter().zip(base_swept.iter()) {
-            assert_eq!(render_bits(a), render_bits(b), "α={}", a.alpha);
-        }
-    }
-
-    #[test]
-    fn sealed_setup_report_matches_raw() {
-        // The assistant reads categorical codes straight off the columns;
-        // sealed columns must shortlist identically (a regression guard
-        // for the compressed `category_codes` path).
-        let raw = Session::open(fig1_pair()).unwrap();
-        let sealed = Session::open_with_config(
-            fig1_pair(),
-            CharlesConfig::default().with_sealed_columns(true),
-        )
-        .unwrap();
-        let a = raw.setup("bonus").unwrap();
-        let b = sealed.setup("bonus").unwrap();
-        assert_eq!(a.condition_attrs(), b.condition_attrs());
-        assert_eq!(a.transform_attrs(), b.transform_attrs());
-        for (x, y) in a
-            .condition_candidates
-            .iter()
-            .zip(b.condition_candidates.iter())
-        {
-            assert_eq!(x.correlation.to_bits(), y.correlation.to_bits(), "{}", x.attr);
-        }
     }
 
     #[test]

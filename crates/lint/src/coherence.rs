@@ -1,12 +1,11 @@
 //! Mutation-coherence analysis: mutators must reach their invalidation.
 //!
 //! The data plane memoizes aggressively — `PlaneCaches`' fit/label/
-//! candidate maps, `Session`'s view/plane/setup maps, `compress.rs`'s
-//! `OnceLock` decode caches — and every memo is *derived* state: correct
-//! only while the inputs it was computed from stand still. Today the
-//! plane is frozen after seal, so the only mutation path is
-//! `Session::set_config`, which swaps in a fresh `PlaneCaches`. The
-//! ingest tier on the ROADMAP changes that: row appends, incremental
+//! candidate maps, `Session`'s view/plane/setup maps — and every memo is
+//! *derived* state: correct only while the inputs it was computed from
+//! stand still. Today the plane is frozen once a session opens, so the
+//! only mutation path is `Session::set_config`, which swaps in a fresh
+//! `PlaneCaches`. The ingest tier on the ROADMAP changes that: row appends, incremental
 //! snapshot maintenance, and eviction all become long-lived mutators,
 //! and a mutator that forgets its invalidation serves stale,
 //! bit-plausible answers — the worst failure class this repo has,

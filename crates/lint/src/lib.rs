@@ -23,9 +23,10 @@
 //!   feeding order-sensitive sinks (serialization, ranking, float or
 //!   collection accumulation). Use `BTreeMap`/`BTreeSet` or sort in the
 //!   same statement.
-//! - `wire-float-exactness` (`proto.rs`): floats crossing
-//!   the wire must use the `to_bits` hex helpers, never raw JSON
-//!   numbers.
+//! - `wire-float-exactness` (`proto.rs`): floats cross the wire
+//!   through one reviewed encoder (`human_f64`, a shortest-round-trip
+//!   decimal) or an explicit `to_bits` form, never an ad-hoc raw JSON
+//!   number.
 //! - `block-grid-literals` (everywhere): bare `128` block math must
 //!   reference `GRAM_BLOCK_ROWS`.
 //! - `lock-discipline` (`manager.rs` / `server.rs`): no acquiring a
@@ -854,11 +855,11 @@ fn wire_float_rule(rel: &str, s: &[Tok], out: &mut Vec<Finding>) {
                 rule: "wire-float-exactness",
                 path: rel.to_string(),
                 line: s[i + 2].line,
-                message: "raw JSON float on the wire; decimal round-trips are not \
-                          bit-exact — use the `f64_bits`/`f64_from_bits` hex helpers \
-                          (or suppress with a reason for human-facing decimals)"
+                message: "raw JSON float on the wire; encode it through `human_f64`, \
+                          the one reviewed float encoder (shortest round-trip decimal), \
+                          or an explicit `to_bits` form where a field must be bit-exact"
                     .to_string(),
-                contract: "floats cross the wire as to_bits hex, never decimals",
+                contract: "floats cross the wire through one reviewed encoder",
                 call_chain: Vec::new(),
             });
         }

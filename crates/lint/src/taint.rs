@@ -17,10 +17,11 @@
 //! parameter), and float-returning calls (back into the caller), as a
 //! fixpoint over the workspace call graph. A finding (`float-taint`)
 //! fires when a tainted value reaches a **sink** — wire serialization
-//! (`Json::Num`, `f64_bits*`) or a ranking comparison (the `sort_by`
-//! family) — in a *different* function from the source, with the
-//! provenance chain in the finding. `human_f64` is the sanctioned
-//! display path and is not a sink.
+//! (`Json::Num`, or a call to a bit-hex encoder named `f64_bits*`, kept
+//! in the sink set should one return) or a ranking comparison (the
+//! `sort_by` family) — in a *different* function from the source, with
+//! the provenance chain in the finding. `human_f64` is the wire's float
+//! encoder and is not a sink.
 
 use std::collections::BTreeMap;
 

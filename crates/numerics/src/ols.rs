@@ -50,13 +50,8 @@ use crate::solve::solve_cholesky;
 /// Rows per canonical accumulation block of the Gram statistics. Shard
 /// boundaries must be multiples of this for bit-exact merges.
 /// A multiple of [`kernels::LANES`], so full blocks have no sub-lane tail.
-///
-/// The relation plane's compressed column blocks
-/// (`charles_relation::GRAM_BLOCK_ROWS`) sit on the *same* 128-row grid:
-/// sealed columns decode per block and zone maps prune per block, so a
-/// fit over sealed columns folds exactly the bytes the raw fit folds. The
-/// two constants are pinned equal by a compile-time assert in
-/// `charles-core`.
+/// The workspace's only block-grid constant: block math elsewhere
+/// references it rather than a bare `128`.
 pub const GRAM_BLOCK_ROWS: usize = 128;
 
 const _: () = assert!(GRAM_BLOCK_ROWS.is_multiple_of(kernels::LANES));

@@ -13,7 +13,6 @@
 //! are copy-on-write — many concurrent readers can scan the same buffers
 //! while a writer evolves its own logical copy.
 
-use crate::compress::CompressedColumn;
 use crate::error::{RelationError, Result};
 use crate::value::{DataType, Value};
 use crate::view::{CodeGroups, CodesView, ColumnView, NumericView};
@@ -109,17 +108,6 @@ pub enum Column {
         /// Validity mask, see [`Column::Int64`].
         validity: Option<Arc<Vec<bool>>>,
     },
-    /// A sealed column whose value buffer lives as per-block encodings
-    /// with zone maps (see [`crate::compress`]). Decoding reproduces the
-    /// raw buffer bit-for-bit; the validity mask stays raw alongside.
-    /// Mutation ([`Column::push`]/[`Column::set`]) transparently decodes
-    /// back to the raw representation first.
-    Compressed {
-        /// Encoded blocks, zone maps, and lazily decoded caches.
-        data: Arc<CompressedColumn>,
-        /// Validity mask, see [`Column::Int64`].
-        validity: Option<Arc<Vec<bool>>>,
-    },
 }
 
 impl Column {
@@ -189,7 +177,6 @@ impl Column {
             Column::Float64 { .. } => DataType::Float64,
             Column::Utf8 { .. } => DataType::Utf8,
             Column::Bool { .. } => DataType::Bool,
-            Column::Compressed { data, .. } => data.dtype(),
         }
     }
 
@@ -200,7 +187,6 @@ impl Column {
             Column::Float64 { values, .. } => values.len(),
             Column::Utf8 { codes, .. } => codes.len(),
             Column::Bool { values, .. } => values.len(),
-            Column::Compressed { data, .. } => data.len(),
         }
     }
 
@@ -249,9 +235,6 @@ impl Column {
             Column::Bool { values, validity } => {
                 note(seen, values, values.len()) + mask_bytes(seen, validity)
             }
-            Column::Compressed { data, validity } => {
-                data.approx_bytes_dedup(seen) + mask_bytes(seen, validity)
-            }
         }
     }
 
@@ -265,8 +248,7 @@ impl Column {
             Column::Int64 { validity, .. }
             | Column::Float64 { validity, .. }
             | Column::Utf8 { validity, .. }
-            | Column::Bool { validity, .. }
-            | Column::Compressed { validity, .. } => validity.as_deref(),
+            | Column::Bool { validity, .. } => validity.as_deref(),
         }
     }
 
@@ -275,19 +257,7 @@ impl Column {
             Column::Int64 { validity, .. }
             | Column::Float64 { validity, .. }
             | Column::Utf8 { validity, .. }
-            | Column::Bool { validity, .. }
-            | Column::Compressed { validity, .. } => validity.as_ref(),
-        }
-    }
-
-    /// The materialized dictionary of a compressed `Utf8` column's sealed
-    /// pool. The payload is built in-process by sealing, so decoding it
-    /// cannot fail.
-    fn sealed_dict(data: &CompressedColumn) -> Arc<StrDict> {
-        match data.dict() {
-            Some(Ok(dict)) => dict.clone(),
-            // lint:allow(no-panic-in-request-path: sealed payloads are produced by SealedDict::seal in-process; decoding our own stream cannot fail)
-            _ => unreachable!("sealed dictionary decodes"),
+            | Column::Bool { validity, .. } => validity.as_ref(),
         }
     }
 
@@ -312,12 +282,6 @@ impl Column {
             Column::Float64 { values, .. } => Value::Float(values[i]),
             Column::Utf8 { dict, codes, .. } => Value::Str(dict.resolve(codes[i]).clone()),
             Column::Bool { values, .. } => Value::Bool(values[i]),
-            Column::Compressed { data, .. } => match data.dtype() {
-                DataType::Int64 => Value::Int(data.int_slot(i)),
-                DataType::Float64 => Value::Float(data.float_slot(i)),
-                // Only Utf8 remains: compressed planes are never Bool.
-                _ => Value::Str(Self::sealed_dict(data).resolve(data.code_slot(i)).clone()),
-            },
         }
     }
 
@@ -331,11 +295,6 @@ impl Column {
             Column::Float64 { values, .. } => Some(values[i]),
             Column::Bool { values, .. } => Some(if values[i] { 1.0 } else { 0.0 }),
             Column::Utf8 { .. } => None,
-            Column::Compressed { data, .. } => match data.dtype() {
-                DataType::Int64 => Some(data.int_slot(i) as f64),
-                DataType::Float64 => Some(data.float_slot(i)),
-                _ => None,
-            },
         }
     }
 
@@ -362,10 +321,6 @@ impl Column {
             Column::Bool { values, validity } => {
                 Arc::make_mut(values).push(false);
                 push_invalid(validity);
-            }
-            Column::Compressed { .. } => {
-                *self = self.decompress();
-                self.push_null();
             }
         }
     }
@@ -431,10 +386,6 @@ impl Column {
                 }
                 other => Err(mismatch(self, &other)),
             },
-            Column::Compressed { .. } => {
-                *self = self.decompress();
-                self.push(value)
-            }
         }
     }
 
@@ -444,17 +395,12 @@ impl Column {
         if i >= height {
             return Err(RelationError::RowIndexOutOfBounds { index: i, height });
         }
-        if let Column::Compressed { .. } = self {
-            // Mutation breaks the seal: decode back to raw storage first.
-            *self = self.decompress();
-        }
         if value.is_null() {
             match self {
                 Column::Int64 { validity, .. }
                 | Column::Float64 { validity, .. }
                 | Column::Utf8 { validity, .. }
-                | Column::Bool { validity, .. }
-                | Column::Compressed { validity, .. } => {
+                | Column::Bool { validity, .. } => {
                     Arc::make_mut(validity.get_or_insert_with(|| Arc::new(vec![true; height])))
                         [i] = false;
                 }
@@ -510,8 +456,6 @@ impl Column {
                     return Ok(());
                 }
             }
-            // Decompressed above; kept for match exhaustiveness.
-            Column::Compressed { .. } => {}
         }
         Err(RelationError::TypeMismatch {
             expected: expected.name().to_string(),
@@ -548,7 +492,6 @@ impl Column {
                 values: Arc::new(indices.iter().map(|&i| values[i]).collect()),
                 validity: take_mask(validity),
             },
-            Column::Compressed { .. } => self.decompress().take(indices),
         }
     }
 
@@ -570,18 +513,6 @@ impl Column {
                 expected: "numeric".to_string(),
                 found: format!("Utf8 (attribute {attr:?})"),
             }),
-            Column::Compressed { data, .. } => {
-                if let Some(buf) = data.decode_floats() {
-                    Ok(buf.as_ref().clone())
-                } else if let Some(buf) = data.decode_ints() {
-                    Ok(buf.iter().map(|&v| v as f64).collect())
-                } else {
-                    Err(RelationError::TypeMismatch {
-                        expected: "numeric".to_string(),
-                        found: format!("Utf8 (attribute {attr:?})"),
-                    })
-                }
-            }
         }
     }
 
@@ -607,21 +538,6 @@ impl Column {
                 expected: "numeric".to_string(),
                 found: format!("Utf8 (attribute {attr:?})"),
             }),
-            // Blocks decode once into a shared buffer; repeated views alias
-            // the same allocation, so downstream reductions fold identical
-            // bytes to the raw path.
-            Column::Compressed { data, .. } => {
-                if let Some(buf) = data.decode_floats() {
-                    Ok(NumericView::from_arc(buf.clone()))
-                } else if let Some(buf) = data.decode_ints() {
-                    Ok(NumericView::new(buf.iter().map(|&v| v as f64).collect()))
-                } else {
-                    Err(RelationError::TypeMismatch {
-                        expected: "numeric".to_string(),
-                        found: format!("Utf8 (attribute {attr:?})"),
-                    })
-                }
-            }
         }
     }
 
@@ -638,9 +554,6 @@ impl Column {
                 codes.clone(),
                 validity.clone(),
             )),
-            Column::Compressed { data, validity } => data.decode_codes().map(|codes| {
-                CodesView::new(Self::sealed_dict(data), codes.clone(), validity.clone())
-            }),
             _ => None,
         }
     }
@@ -678,13 +591,6 @@ impl Column {
                     validity.as_deref().map(Vec::as_slice),
                 ))
             }
-            Column::Compressed { data, validity } => data.decode_codes().map(|codes| {
-                CodeGroups::from_codes(
-                    codes,
-                    data.dict_entries().unwrap_or(0),
-                    validity.as_deref().map(Vec::as_slice),
-                )
-            }),
             _ => None,
         }
     }
@@ -727,88 +633,6 @@ impl Column {
                 }
                 seen.len()
             }
-        }
-    }
-
-    /// Seal this column into its per-block compressed representation (see
-    /// [`crate::compress`]). `Bool` columns (already one byte per row) and
-    /// already-compressed columns are returned as cheap clones. The
-    /// encoding is lossless on `f64::to_bits` over the full slot buffer,
-    /// so [`Column::decompress`] reproduces the raw column bit-for-bit.
-    pub fn compress(&self) -> Column {
-        match self {
-            Column::Int64 { values, validity } => Column::Compressed {
-                data: Arc::new(CompressedColumn::from_ints(
-                    values,
-                    validity.as_deref().map(Vec::as_slice),
-                )),
-                validity: validity.clone(),
-            },
-            Column::Float64 { values, validity } => Column::Compressed {
-                data: Arc::new(CompressedColumn::from_floats(
-                    values,
-                    validity.as_deref().map(Vec::as_slice),
-                )),
-                validity: validity.clone(),
-            },
-            Column::Utf8 {
-                dict,
-                codes,
-                validity,
-            } => Column::Compressed {
-                data: Arc::new(CompressedColumn::from_codes(
-                    dict,
-                    codes,
-                    validity.as_deref().map(Vec::as_slice),
-                )),
-                validity: validity.clone(),
-            },
-            Column::Bool { .. } | Column::Compressed { .. } => self.clone(),
-        }
-    }
-
-    /// Decode a compressed column back to its raw representation (other
-    /// columns are returned as cheap clones). The decoded buffers are the
-    /// column's shared caches, so this is O(1) after the first decode.
-    pub fn decompress(&self) -> Column {
-        match self {
-            Column::Compressed { data, validity } => {
-                if let Some(buf) = data.decode_floats() {
-                    Column::Float64 {
-                        values: buf.clone(),
-                        validity: validity.clone(),
-                    }
-                } else if let Some(buf) = data.decode_ints() {
-                    Column::Int64 {
-                        values: buf.clone(),
-                        validity: validity.clone(),
-                    }
-                } else if let Some(codes) = data.decode_codes() {
-                    Column::Utf8 {
-                        dict: Self::sealed_dict(data),
-                        codes: codes.clone(),
-                        validity: validity.clone(),
-                    }
-                } else {
-                    self.clone()
-                }
-            }
-            other => other.clone(),
-        }
-    }
-
-    /// Whether this column is stored in compressed block form.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, Column::Compressed { .. })
-    }
-
-    /// The compressed payload, when this column is sealed (`None`
-    /// otherwise). Exposes zone-map skip/scan statistics and byte
-    /// accounting to callers.
-    pub fn compressed_data(&self) -> Option<&Arc<CompressedColumn>> {
-        match self {
-            Column::Compressed { data, .. } => Some(data),
-            _ => None,
         }
     }
 }

@@ -7,8 +7,6 @@
 //! everything the recovery engine needs from a database layer:
 //!
 //! - typed columnar storage with dictionary-encoded strings ([`Column`]),
-//! - per-block compressed column encodings with zone-map statistics for
-//!   sealed snapshots ([`CompressedColumn`]),
 //! - schemas and tables ([`Schema`], [`Table`], [`TableBuilder`]),
 //! - a predicate language for conditions and `WHERE` clauses ([`Predicate`]),
 //! - scalar arithmetic expressions for transformations ([`Expr`]),
@@ -51,12 +49,10 @@
 pub mod align;
 pub mod builder;
 pub mod column;
-pub mod compress;
 pub mod csv;
 pub mod error;
 pub mod expr;
 pub mod index;
-pub mod lz;
 pub mod predicate;
 pub mod schema;
 pub mod table;
@@ -67,7 +63,6 @@ pub mod view;
 pub use align::SnapshotPair;
 pub use builder::{RowBuilder, TableBuilder};
 pub use column::{Column, StrDict};
-pub use compress::{CompressedColumn, FloatZone, IntZone, GRAM_BLOCK_ROWS};
 pub use csv::{read_csv, read_csv_path, write_csv, write_csv_path};
 pub use error::{RelationError, Result};
 pub use expr::Expr;

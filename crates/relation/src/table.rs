@@ -148,20 +148,6 @@ impl Table {
             .sum()
     }
 
-    /// A sealed copy of this table: every column compressed into per-block
-    /// encodings with zone maps (see [`Column::compress`]). Decoding is
-    /// bit-identical to the raw buffers, so everything computed from a
-    /// sealed table — masks, views, statistics — matches the raw table
-    /// exactly; name, schema, and key declaration carry over unchanged.
-    pub fn sealed(&self) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(Column::compress).collect(),
-            key: self.key,
-            name: self.name.clone(),
-        }
-    }
-
     /// Column by index.
     pub fn column(&self, index: usize) -> Result<&Column> {
         self.columns

@@ -1,8 +1,14 @@
 //! Property-based tests for the relation substrate.
+//!
+//! The mask properties pin `Predicate::eval_mask` (the columnar fast path:
+//! dictionary-code probes, raw `i64`/`f64` loops) against per-row
+//! `Predicate::eval` on adversarial cells: NaN of both signs, ±0.0, ±∞,
+//! nulls, integers beyond 2^53, and string literals inside and outside the
+//! dictionary.
 
 use charles_relation::{
-    read_csv, write_csv, CmpOp, Column, DataType, Predicate, RowRange, Schema, SnapshotPair, Table,
-    Value,
+    read_csv, write_csv, CmpOp, Column, DataType, Field, Predicate, RowRange, Schema, SnapshotPair,
+    Table, Value,
 };
 use proptest::prelude::*;
 
@@ -66,8 +72,162 @@ fn table_strategy() -> impl Strategy<Value = Table> {
     })
 }
 
+/// 2^53: above it, consecutive `i64`s collapse onto one `f64`.
+const F64_EXACT_INT: i64 = 1 << 53;
+
+/// Special floats: NaN of both signs, ±0.0, ±∞.
+fn special_float() -> BoxedStrategy<f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+    .boxed()
+}
+
+/// Float cells: small integers (so equality literals hit), arbitrary
+/// reals, the specials, and nulls.
+fn float_cell() -> BoxedStrategy<Value> {
+    prop_oneof![
+        4 => (-100i64..100).prop_map(|v| Value::Float(v as f64)),
+        2 => (-1e12f64..1e12).prop_map(Value::Float),
+        2 => special_float().prop_map(Value::Float),
+        1 => Just(Value::Null),
+    ]
+    .boxed()
+}
+
+/// Integers that sit around ±2^53, where `i64` → `f64` rounds: 2^53 + 1
+/// becomes 2^53, so exact and widened comparisons disagree there.
+fn wide_int() -> BoxedStrategy<i64> {
+    prop_oneof![
+        3 => (-1i64..3).prop_map(|d| F64_EXACT_INT + d),
+        3 => (-1i64..3).prop_map(|d| -F64_EXACT_INT - d),
+        1 => Just(i64::MAX),
+        1 => Just(i64::MIN),
+    ]
+    .boxed()
+}
+
+/// Integer cells: small values, values around ±2^53, the full range, and
+/// nulls.
+fn int_cell() -> BoxedStrategy<Value> {
+    prop_oneof![
+        3 => (-100i64..100).prop_map(Value::Int),
+        3 => wide_int().prop_map(Value::Int),
+        1 => any::<i64>().prop_map(Value::Int),
+        1 => Just(Value::Null),
+    ]
+    .boxed()
+}
+
+/// String cells over a tiny alphabet, so literals hit often, and nulls.
+fn str_cell() -> BoxedStrategy<Value> {
+    prop_oneof![
+        5 => "[abc]{1,2}".prop_map(Value::str),
+        1 => Just(Value::Null),
+    ]
+    .boxed()
+}
+
+/// Numeric literals of both types, drawn from the same edges as the cells.
+fn numeric_literal() -> BoxedStrategy<Value> {
+    prop_oneof![
+        3 => (-100i64..100).prop_map(Value::Int),
+        2 => wide_int().prop_map(Value::Int),
+        3 => (-100i64..100).prop_map(|v| Value::Float(v as f64)),
+        1 => (-1e12f64..1e12).prop_map(Value::Float),
+        2 => special_float().prop_map(Value::Float),
+        1 => wide_int().prop_map(|v| Value::Float(v as f64)),
+    ]
+    .boxed()
+}
+
+fn any_op() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+    ]
+}
+
+/// A one-column table named `x` of `dtype` cells.
+fn one_column(dtype: DataType, cell: BoxedStrategy<Value>) -> impl Strategy<Value = Table> {
+    proptest::collection::vec(cell, 0..100).prop_map(move |vals| {
+        let schema = Schema::new(vec![Field::new("x", dtype)]).unwrap();
+        Table::new(schema, vec![Column::from_values(dtype, &vals).unwrap()]).unwrap()
+    })
+}
+
+/// `eval_mask` must equal per-row `eval` on every row.
+fn assert_mask_matches_rows(p: &Predicate, table: &Table) -> Result<(), TestCaseError> {
+    let mask = p.eval_mask(table).unwrap();
+    let rows: Vec<bool> = table
+        .row_ids()
+        .map(|row| p.eval(table, row).unwrap())
+        .collect();
+    prop_assert_eq!(mask, rows, "{}", p);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn float_cmp_masks_match_rowwise(
+        table in one_column(DataType::Float64, float_cell()),
+        op in any_op(),
+        lit in numeric_literal(),
+    ) {
+        assert_mask_matches_rows(&Predicate::cmp("x", op, lit), &table)?;
+    }
+
+    #[test]
+    fn int_cmp_masks_match_rowwise(
+        table in one_column(DataType::Int64, int_cell()),
+        op in any_op(),
+        lit in numeric_literal(),
+        wide in wide_int(),
+    ) {
+        assert_mask_matches_rows(&Predicate::cmp("x", op, lit), &table)?;
+        // A literal near ±2^53 also compared exactly against the cells
+        // that round to the same f64.
+        assert_mask_matches_rows(&Predicate::cmp("x", op, Value::Int(wide)), &table)?;
+    }
+
+    #[test]
+    fn between_masks_match_rowwise(
+        floats in one_column(DataType::Float64, float_cell()),
+        ints in one_column(DataType::Int64, int_cell()),
+        lo in numeric_literal(),
+        hi in numeric_literal(),
+    ) {
+        let p = Predicate::between("x", lo, hi);
+        assert_mask_matches_rows(&p, &floats)?;
+        assert_mask_matches_rows(&p, &ints)?;
+    }
+
+    #[test]
+    fn string_eq_ne_and_inset_masks_match_rowwise(
+        table in one_column(DataType::Utf8, str_cell()),
+        needle in "[abcz]{1,2}",
+    ) {
+        // `z` never occurs in a cell: literals outside the dictionary.
+        for p in [
+            Predicate::eq("x", needle.as_str()),
+            Predicate::cmp("x", CmpOp::Ne, Value::str(needle.as_str())),
+            Predicate::in_set("x", [Value::str(needle.as_str()), Value::str("a")]),
+            Predicate::in_set("x", [Value::str("z")]),
+        ] {
+            assert_mask_matches_rows(&p, &table)?;
+        }
+    }
 
     #[test]
     fn csv_roundtrip_preserves_content(table in table_strategy()) {
@@ -239,4 +399,87 @@ fn csv_handles_adversarial_strings() {
     assert_eq!(back.value(1, "s").unwrap(), Value::str("he said \"hi\""));
     // Empty string becomes null through CSV (documented limitation).
     assert_eq!(back.value(2, "s").unwrap(), Value::Null);
+}
+
+/// The fixed edges of the mask properties, one row each, so a regression
+/// names its case without a shrink.
+#[test]
+fn masks_match_rowwise_on_fixed_edges() {
+    let floats = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5,
+    ];
+    let mut float_vals: Vec<Value> = floats.iter().map(|&v| Value::Float(v)).collect();
+    float_vals.push(Value::Null);
+    let mut int_vals: Vec<Value> = [
+        F64_EXACT_INT - 1,
+        F64_EXACT_INT,
+        F64_EXACT_INT + 1,
+        -F64_EXACT_INT - 1,
+        i64::MAX,
+        i64::MIN,
+        0,
+    ]
+    .iter()
+    .map(|&v| Value::Int(v))
+    .collect();
+    int_vals.push(Value::Null);
+    let schema = Schema::new(vec![
+        Field::new("f", DataType::Float64),
+        Field::new("i", DataType::Int64),
+    ])
+    .unwrap();
+    let table = Table::new(
+        schema,
+        vec![
+            Column::from_values(DataType::Float64, &float_vals).unwrap(),
+            Column::from_values(DataType::Int64, &int_vals).unwrap(),
+        ],
+    )
+    .unwrap();
+    let mut literals: Vec<Value> = floats.iter().map(|&v| Value::Float(v)).collect();
+    literals.extend(
+        [F64_EXACT_INT, F64_EXACT_INT + 1, i64::MAX, i64::MIN]
+            .iter()
+            .map(|&v| Value::Int(v)),
+    );
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    for attr in ["f", "i"] {
+        for lit in &literals {
+            for op in ops {
+                let p = Predicate::cmp(attr, op, lit.clone());
+                let rows: Vec<bool> = table
+                    .row_ids()
+                    .map(|row| p.eval(&table, row).unwrap())
+                    .collect();
+                assert_eq!(p.eval_mask(&table).unwrap(), rows, "{p}");
+            }
+            let p = Predicate::between(attr, lit.clone(), Value::Float(f64::INFINITY));
+            let rows: Vec<bool> = table
+                .row_ids()
+                .map(|row| p.eval(&table, row).unwrap())
+                .collect();
+            assert_eq!(p.eval_mask(&table).unwrap(), rows, "{p}");
+        }
+    }
+    // Exact i64 equality: 2^53 + 1 is not 2^53 even though both round to
+    // the same f64.
+    let p = Predicate::eq("i", Value::Int(F64_EXACT_INT));
+    let mask = p.eval_mask(&table).unwrap();
+    assert_eq!(&mask[..3], &[false, true, false]);
+    // Nulls never match, not even `≠`.
+    let p = Predicate::cmp("f", CmpOp::Ne, Value::Float(1.5));
+    assert!(!p.eval_mask(&table).unwrap()[7]);
 }

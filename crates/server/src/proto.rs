@@ -13,7 +13,9 @@
 //! attribute names, and strings needing escapes.
 
 use crate::json::{Json, JsonError};
-use charles_core::{CharlesError, DatasetStats, Query, QueryError, QueryResult, SessionStats};
+use charles_core::{
+    ChangeSummary, CharlesError, DatasetStats, Query, QueryError, QueryResult, SessionStats,
+};
 
 /// The wire protocol version this build speaks.
 pub const PROTOCOL_VERSION: usize = 1;
@@ -225,6 +227,20 @@ pub struct RankedSummary {
 }
 
 impl RankedSummary {
+    /// Render one engine summary for the wire at 1-based `rank`.
+    pub fn from_summary(rank: usize, summary: &ChangeSummary) -> Self {
+        RankedSummary {
+            rank,
+            score: summary.scores.score,
+            accuracy: summary.scores.accuracy,
+            interpretability: summary.scores.interpretability,
+            cts: summary.cts.iter().map(|ct| ct.to_string()).collect(),
+            condition_attrs: summary.condition_attrs.clone(),
+            transform_attrs: summary.transform_attrs.clone(),
+            changed_coverage: summary.changed_coverage(),
+        }
+    }
+
     /// Encode as a JSON value.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -288,16 +304,7 @@ impl WireQueryResult {
                 .summaries
                 .iter()
                 .enumerate()
-                .map(|(i, s)| RankedSummary {
-                    rank: i + 1,
-                    score: s.scores.score,
-                    accuracy: s.scores.accuracy,
-                    interpretability: s.scores.interpretability,
-                    cts: s.cts.iter().map(|ct| ct.to_string()).collect(),
-                    condition_attrs: s.condition_attrs.clone(),
-                    transform_attrs: s.transform_attrs.clone(),
-                    changed_coverage: s.changed_coverage(),
-                })
+                .map(|(i, s)| RankedSummary::from_summary(i + 1, s))
                 .collect(),
         }
     }
@@ -360,7 +367,6 @@ impl WireDatasetStats {
             ("evictions", Json::num_usize(d.evictions)),
             ("approx_bytes", Json::num_usize(d.approx_bytes)),
             ("last_used_tick", Json::num_usize(d.last_used_tick as usize)),
-            ("sealed", Json::Bool(d.sealed)),
             (
                 "session",
                 opt_to_json(&self.session, |s| {
@@ -413,8 +419,6 @@ impl WireDatasetStats {
                 evictions: need_usize(value, "evictions")?,
                 approx_bytes: need_usize(value, "approx_bytes")?,
                 last_used_tick: need_usize(value, "last_used_tick")? as u64,
-                // Absent on pre-compression peers: default to unsealed.
-                sealed: value.get("sealed").and_then(Json::as_bool).unwrap_or(false),
             },
             session,
         })
@@ -756,7 +760,6 @@ mod tests {
                 evictions: 2,
                 approx_bytes: 123_456,
                 last_used_tick: 42,
-                sealed: true,
             },
             session: Some(SessionStats {
                 columns_extracted: 5,
@@ -768,24 +771,18 @@ mod tests {
             }),
         };
         let encoded = stats.to_json().encode();
-        assert!(encoded.contains("\"sealed\":true"), "{encoded}");
         assert!(!encoded.contains("shards"), "{encoded}");
+        assert!(!encoded.contains("sealed"), "{encoded}");
         let decoded = WireDatasetStats::from_json(&Json::parse(&encoded).unwrap()).unwrap();
         assert_eq!(decoded, stats);
-        // Documents from pre-compression peers (no "sealed" key) decode
-        // as unsealed.
-        let legacy = Json::parse(
-            r#"{"name":"x","resident":false,"opens":0,"hits":0,"evictions":0,"approx_bytes":0,"last_used_tick":0,"session":null}"#,
+        // Older peers send a "shards" count (row-sharded datasets) and a
+        // "sealed" flag (compressed column layout); both decode and are
+        // ignored.
+        let older_peer = Json::parse(
+            r#"{"name":"x","resident":true,"opens":1,"hits":2,"evictions":0,"approx_bytes":64,"last_used_tick":3,"shards":4,"sealed":true,"session":null}"#,
         )
         .unwrap();
-        assert!(!WireDatasetStats::from_json(&legacy).unwrap().dataset.sealed);
-        // Peers that still serve row-sharded datasets send a "shards"
-        // count; it decodes and is ignored.
-        let sharded_peer = Json::parse(
-            r#"{"name":"x","resident":true,"opens":1,"hits":2,"evictions":0,"approx_bytes":64,"last_used_tick":3,"shards":4,"sealed":false,"session":null}"#,
-        )
-        .unwrap();
-        let decoded = WireDatasetStats::from_json(&sharded_peer).unwrap().dataset;
+        let decoded = WireDatasetStats::from_json(&older_peer).unwrap().dataset;
         assert_eq!(
             (decoded.opens, decoded.hits, decoded.approx_bytes),
             (1, 2, 64)
