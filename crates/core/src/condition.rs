@@ -6,8 +6,9 @@
 //! more normal, larger matched partitions cover more.
 
 use charles_numerics::normality::roundness;
-use charles_relation::{AttrRef, CmpOp, Predicate, Table, Value};
+use charles_relation::{AttrId, AttrRef, CmpOp, Predicate, Table, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// One atomic statement about an attribute.
 ///
@@ -284,6 +285,76 @@ impl Condition {
         parts.sort();
         parts.join(" ∧ ")
     }
+
+    /// The exact memo identity of this condition (see [`ConditionKey`]),
+    /// or `None` when a descriptor's attribute is not resolved against a
+    /// schema.
+    pub(crate) fn key(&self) -> Option<ConditionKey> {
+        self.descriptors
+            .iter()
+            .map(|d| {
+                let id = d.attr_ref().id()?;
+                Some(match d {
+                    Descriptor::Equals { value, .. } => DescriptorKey::Equals(id, value_key(value)),
+                    Descriptor::NotEquals { value, .. } => {
+                        DescriptorKey::NotEquals(id, value_key(value))
+                    }
+                    Descriptor::OneOf { values, .. } => {
+                        DescriptorKey::OneOf(id, values.iter().map(value_key).collect())
+                    }
+                    Descriptor::LessThan { threshold, .. } => {
+                        DescriptorKey::LessThan(id, threshold.to_bits())
+                    }
+                    Descriptor::AtLeast { threshold, .. } => {
+                        DescriptorKey::AtLeast(id, threshold.to_bits())
+                    }
+                    Descriptor::InRange { lo, hi, .. } => {
+                        DescriptorKey::InRange(id, lo.to_bits(), hi.to_bits())
+                    }
+                })
+            })
+            .collect::<Option<_>>()
+            .map(ConditionKey)
+    }
+}
+
+/// Exact, hashable identity of a [`Condition`]: descriptor kinds in
+/// conjunction order, interned attribute ids, values, and float constants
+/// by bit pattern. On one table, equal keys select identical rows. Unlike
+/// [`Condition::signature`] it never renders a float, so `-0.0` and `0.0`
+/// (both rendered `0`, and ordered apart by the relation layer) keep
+/// distinct keys, as do neighbours like `199999.99999999997` and `200000`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ConditionKey(Vec<DescriptorKey>);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum DescriptorKey {
+    Equals(AttrId, ValueKey),
+    NotEquals(AttrId, ValueKey),
+    OneOf(AttrId, Vec<ValueKey>),
+    LessThan(AttrId, u64),
+    AtLeast(AttrId, u64),
+    InRange(AttrId, u64, u64),
+}
+
+/// A [`Value`] with floats compared by bit pattern.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ValueKey {
+    Null,
+    Int(i64),
+    Float(u64),
+    Str(Arc<str>),
+    Bool(bool),
+}
+
+fn value_key(value: &Value) -> ValueKey {
+    match value {
+        Value::Null => ValueKey::Null,
+        Value::Int(i) => ValueKey::Int(*i),
+        Value::Float(f) => ValueKey::Float(f.to_bits()),
+        Value::Str(s) => ValueKey::Str(Arc::clone(s)),
+        Value::Bool(b) => ValueKey::Bool(*b),
+    }
 }
 
 impl fmt::Display for Condition {
@@ -304,7 +375,7 @@ impl fmt::Display for Condition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_relation::TableBuilder;
+    use charles_relation::{DataType, TableBuilder};
 
     fn emp() -> Table {
         TableBuilder::new("emp")
@@ -427,6 +498,132 @@ mod tests {
             },
         ]);
         assert_eq!(a.signature(), b.signature());
+    }
+
+    /// Equal [`ConditionKey`]s must select identical rows, over every
+    /// condition of one or two descriptors from a pool that mixes
+    /// neighbouring thresholds, ±0.0 (rendered alike), and Utf8, Int and
+    /// null values.
+    #[test]
+    fn equal_condition_keys_select_identical_rows() {
+        let near = 199_999.999_999_999_97_f64;
+        assert_ne!(near.to_bits(), 200_000.0_f64.to_bits());
+        let table = TableBuilder::new("keys")
+            .value_col(
+                "dept",
+                DataType::Utf8,
+                &[
+                    Value::str("POL"),
+                    Value::str("FIN"),
+                    Value::Null,
+                    Value::str("POL"),
+                    Value::str("ENG"),
+                    Value::Null,
+                ],
+            )
+            .unwrap()
+            .value_col(
+                "grade",
+                DataType::Int64,
+                &[
+                    Value::Int(3),
+                    Value::Int(5),
+                    Value::Null,
+                    Value::Int(7),
+                    Value::Int(3),
+                    Value::Int(5),
+                ],
+            )
+            .unwrap()
+            .float_col("salary", &[near, 200_000.0, -0.0, 0.0, 5.0, 250_000.0])
+            .build()
+            .unwrap();
+        let attr = |name: &str| table.schema().attr_ref(name).unwrap();
+        let (dept, grade, salary) = (attr("dept"), attr("grade"), attr("salary"));
+        let mut pool = Vec::new();
+        for (a, values) in [
+            (
+                &dept,
+                vec![Value::str("POL"), Value::str("FIN"), Value::Null],
+            ),
+            (&grade, vec![Value::Int(3), Value::Int(5), Value::Null]),
+            (&salary, vec![Value::Float(0.0), Value::Float(-0.0)]),
+        ] {
+            for value in &values {
+                let d = Descriptor::Equals {
+                    attr: a.clone(),
+                    value: value.clone(),
+                };
+                pool.push(d.negate());
+                pool.push(d);
+            }
+            pool.push(Descriptor::OneOf {
+                attr: a.clone(),
+                values,
+            });
+        }
+        for threshold in [near, 200_000.0, 0.0, -0.0, 5.0] {
+            let d = Descriptor::LessThan {
+                attr: salary.clone(),
+                threshold,
+            };
+            pool.push(d.negate());
+            pool.push(d);
+        }
+        for (lo, hi) in [(-0.0, 200_000.0), (0.0, 200_000.0), (0.0, near)] {
+            pool.push(Descriptor::InRange {
+                attr: salary.clone(),
+                lo,
+                hi,
+            });
+        }
+        pool.push(Descriptor::AtLeast {
+            attr: grade.clone(),
+            threshold: 5.0,
+        });
+
+        let mut conditions: Vec<Condition> = pool
+            .iter()
+            .map(|d| Condition::new(vec![d.clone()]))
+            .collect();
+        for a in &pool {
+            for b in &pool {
+                conditions.push(Condition::new(vec![a.clone(), b.clone()]));
+            }
+        }
+        let mut rows_of: std::collections::HashMap<ConditionKey, (Vec<usize>, String)> =
+            std::collections::HashMap::new();
+        for c in &conditions {
+            let rows = c.matching_rows(&table).unwrap();
+            let key = c.key().expect("resolved attributes give a key");
+            let (seen, first) = rows_of.entry(key).or_insert((rows.clone(), c.to_string()));
+            assert_eq!(*seen, rows, "`{first}` and `{c}` share a key");
+        }
+
+        // Renderings collapse what keys keep apart.
+        let below = |threshold: f64| {
+            Condition::all().with(Descriptor::LessThan {
+                attr: salary.clone(),
+                threshold,
+            })
+        };
+        assert_eq!(below(0.0).signature(), below(-0.0).signature());
+        assert_ne!(below(0.0).key(), below(-0.0).key());
+        assert_ne!(below(near).key(), below(200_000.0).key());
+        assert_ne!(
+            below(near).matching_rows(&table).unwrap(),
+            below(200_000.0).matching_rows(&table).unwrap()
+        );
+        // Unresolved handles have no key.
+        assert_eq!(
+            Condition::all()
+                .with(Descriptor::LessThan {
+                    attr: "salary".into(),
+                    threshold: 1.0,
+                })
+                .key(),
+            None
+        );
     }
 
     #[test]

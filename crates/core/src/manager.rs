@@ -7,8 +7,8 @@
 //! pair, or a provider closure), **opened** into `Arc<Session>`s on first
 //! use, and **evicted** least-recently-used when the configured session or
 //! memory budget is exceeded. Every open session keeps its whole warm
-//! plane — extracted columns, global fits, labelings, evaluated candidates
-//! — so repeated queries against a resident dataset hit PR 2's warm path,
+//! plane — extracted columns, global fits, labelings, trees, leaf models,
+//! evaluated candidates — so repeated queries against a resident dataset hit PR 2's warm path,
 //! while cold datasets cost one open.
 //!
 //! All methods take `&self`; a manager is shared behind an `Arc` by the

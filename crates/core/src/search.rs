@@ -22,10 +22,11 @@
 //! re-derived through the relation layer's dictionary-code fast paths.
 
 use crate::combi::bounded_subsets;
+use crate::condition::{Condition, ConditionKey};
 use crate::config::CharlesConfig;
 use crate::ct::ConditionalTransformation;
 use crate::error::{CharlesError, Result};
-use crate::partition::{cluster_residuals, induce_partitions};
+use crate::partition::{cluster_residuals, induce_partitions, PartitionSpec};
 use crate::score::ScoringContext;
 use crate::snap::snap_fit;
 use crate::summary::ChangeSummary;
@@ -89,6 +90,18 @@ pub struct PlaneCaches {
     /// an identical query re-ranks cached summaries without re-inducing
     /// partitions or refitting anything.
     candidate_memo: Mutex<HashMap<CandidateKey, Arc<Option<ChangeSummary>>>>,
+    /// Leaf conditions of one CART tree per (target, condition subset,
+    /// labeling), in final spec order. The delta, relative-delta and
+    /// categorical labelings do not depend on `T`, so every transformation
+    /// subset shares their trees. A hit re-derives each leaf's rows from
+    /// its condition, so no row lists stay resident.
+    tree_memo: Mutex<HashMap<TreeKey, Arc<[Condition]>>>,
+    /// Model of one leaf per (target, transformation subset, exact
+    /// condition): the identity for an unchanged leaf, else the fitted and
+    /// snapped transformation with its MAE (`None` = no model). A leaf's
+    /// rows are a function of its condition, so leaves recurring across
+    /// `k` values and labelings are fitted once.
+    leaf_memo: Mutex<HashMap<LeafKey, Arc<LeafModel>>>,
     /// Number of global OLS fits actually computed (memo misses).
     fits_computed: AtomicUsize,
     /// Number of labelings actually computed (clusterings + categorical
@@ -96,6 +109,10 @@ pub struct PlaneCaches {
     labelings_computed: AtomicUsize,
     /// Number of candidate evaluations actually computed (memo misses).
     candidates_computed: AtomicUsize,
+    /// Number of CART trees actually induced (memo misses).
+    trees_computed: AtomicUsize,
+    /// Number of leaf models actually computed (memo misses).
+    leaf_models_computed: AtomicUsize,
 }
 
 impl PlaneCaches {
@@ -112,6 +129,16 @@ impl PlaneCaches {
     /// Candidate evaluations computed so far (memo misses, monotone).
     pub fn candidates_computed(&self) -> usize {
         self.candidates_computed.load(Ordering::Relaxed)
+    }
+
+    /// CART trees induced so far (memo misses, monotone).
+    pub fn trees_computed(&self) -> usize {
+        self.trees_computed.load(Ordering::Relaxed)
+    }
+
+    /// Leaf models computed so far (memo misses, monotone).
+    pub fn leaf_models_computed(&self) -> usize {
+        self.leaf_models_computed.load(Ordering::Relaxed)
     }
 
     /// Approximate resident bytes of the memo planes. Fits and labelings
@@ -139,15 +166,41 @@ impl PlaneCaches {
             .values()
             .map(|labels| labels.len() * 8 + 64)
             .sum();
-        // Summaries are small structured data (a few CTs of terms and
-        // descriptors); a flat per-entry estimate is plenty here.
+        // Summaries, trees and leaf models are small structured data (a few
+        // CTs, conditions or terms); flat per-item estimates are plenty.
         let candidates = self
             .candidate_memo
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
             * 512;
-        fits + labelings + candidates
+        let trees: usize = self
+            .tree_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .map(|conditions| conditions.len() * 96 + 64)
+            .sum();
+        let leaves = self
+            .leaf_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+            * 256;
+        fits + labelings + candidates + trees + leaves
+    }
+
+    /// Drop the tree and leaf-model memos (tests of the byte accounting).
+    #[cfg(test)]
+    pub(crate) fn forget_trees_and_leaves(&self) {
+        self.tree_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.leaf_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 }
 
@@ -157,6 +210,8 @@ impl fmt::Debug for PlaneCaches {
             .field("fits_computed", &self.fits_computed())
             .field("labelings_computed", &self.labelings_computed())
             .field("candidates_computed", &self.candidates_computed())
+            .field("trees_computed", &self.trees_computed())
+            .field("leaf_models_computed", &self.leaf_models_computed())
             .finish_non_exhaustive()
     }
 }
@@ -173,6 +228,17 @@ type LabelKey = (AttrId, LabelingKey);
 /// the evaluation's identity; everything else search-relevant is pinned by
 /// the cache instance).
 type CandidateKey = (AttrId, Vec<AttrId>, Vec<AttrId>, usize, u64);
+
+/// Memo key for one CART tree: (target, condition subset, labeling).
+type TreeKey = (AttrId, Vec<AttrId>, LabelingKey);
+
+/// Memo key for one leaf model: (target, transformation subset, exact
+/// condition). Never a rendered signature: rendering collapses distinct
+/// floats.
+type LeafKey = (AttrId, Vec<AttrId>, ConditionKey);
+
+/// One leaf's model and its MAE (`None` = nothing fits).
+type LeafModel = Option<(Transformation, f64)>;
 
 /// Everything shared by candidate evaluations for one engine run.
 ///
@@ -209,8 +275,8 @@ pub struct SearchContext<'a> {
     /// Whether fully evaluated candidates may enter the memo plane.
     /// Sessions disable this for off-default-α runs: candidate results are
     /// α-keyed, so caching them for every α a slider visits would grow the
-    /// session-lifetime memo without bound. Fits and labelings are
-    /// α-independent and always memoized.
+    /// session-lifetime memo without bound. Fits, labelings, trees and
+    /// leaf models are α-independent and always memoized.
     memoize_candidates: bool,
 }
 
@@ -317,13 +383,17 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Memoized clustering of one change signal.
-    fn labels_for(&self, key: LabelingKey, signal: &[f64], k: usize) -> Result<Arc<Vec<usize>>> {
-        memoized(&self.caches.label_memo, (self.target_id, key), || {
-            self.caches
-                .labelings_computed
-                .fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(cluster_residuals(signal, k, self.config)?))
-        })
+    fn labels_for(&self, key: &LabelingKey, signal: &[f64], k: usize) -> Result<Arc<Vec<usize>>> {
+        memoized(
+            &self.caches.label_memo,
+            (self.target_id, key.clone()),
+            || {
+                self.caches
+                    .labelings_computed
+                    .fetch_add(1, Ordering::Relaxed);
+                Ok(Arc::new(cluster_residuals(signal, k, self.config)?))
+            },
+        )
     }
 
     /// Memoized GROUP-BY-value labeling of one categorical condition
@@ -352,6 +422,65 @@ impl<'a> SearchContext<'a> {
 
     fn source(&self) -> &Table {
         self.pair.source()
+    }
+
+    /// The partitions of one tree, memoized per [`TreeKey`] (`None` =
+    /// unresolved handles: induce without the memo). A hit re-derives each
+    /// leaf's rows from its condition, as tree induction itself does.
+    fn partitions_for(
+        &self,
+        key: Option<TreeKey>,
+        cond_attrs: &[AttrRef],
+        labels: &[usize],
+    ) -> Result<Vec<PartitionSpec>> {
+        let induce = || induce_partitions(self.source(), cond_attrs, labels, self.config);
+        let Some(key) = key else {
+            return induce();
+        };
+        let mut fresh = None;
+        let conditions = memoized(&self.caches.tree_memo, key, || {
+            self.caches.trees_computed.fetch_add(1, Ordering::Relaxed);
+            let specs = induce()?;
+            let conditions: Arc<[Condition]> =
+                specs.iter().map(|spec| spec.condition.clone()).collect();
+            fresh = Some(specs);
+            Ok(conditions)
+        })?;
+        if let Some(specs) = fresh {
+            return Ok(specs);
+        }
+        conditions
+            .iter()
+            .map(|condition| {
+                Ok(PartitionSpec {
+                    rows: condition.matching_rows(self.source())?,
+                    condition: condition.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// The model of one leaf (see [`fit_leaf`]), memoized per [`LeafKey`];
+    /// conditions over unresolved handles bypass the memo.
+    fn leaf_model(
+        &self,
+        tran_attrs: &[AttrRef],
+        tran_ids: &[AttrId],
+        spec: &PartitionSpec,
+    ) -> Result<Arc<LeafModel>> {
+        let Some(condition) = spec.condition.key() else {
+            return Ok(Arc::new(fit_leaf(self, tran_attrs, &spec.rows)));
+        };
+        memoized(
+            &self.caches.leaf_memo,
+            (self.target_id, tran_ids.to_vec(), condition),
+            || {
+                self.caches
+                    .leaf_models_computed
+                    .fetch_add(1, Ordering::Relaxed);
+                Ok(Arc::new(fit_leaf(self, tran_attrs, &spec.rows)))
+            },
+        )
     }
 
     /// The shared scoring context.
@@ -500,18 +629,23 @@ fn partition_mae(cols: &[Vec<f64>], y: &[f64], coefs: &[f64], intercept: f64) ->
     kernels::sum_abs_diff(&pred, y) / y.len() as f64
 }
 
-/// Fit a (possibly snapped) linear model on a partition, returning the
-/// transformation and its mean absolute error over *all* partition rows.
+/// Model one leaf: the identity when no row changed beyond the tolerance
+/// (the hatched rectangle in the paper's step 10), otherwise a (possibly
+/// snapped) linear model, returned with its mean absolute error over *all*
+/// leaf rows (`None` when nothing fits).
 ///
 /// Robustness: after a first OLS pass, rows whose residuals exceed 6 MADs
 /// are treated as out-of-policy edits; when they are few (≤ 20%) the model
 /// — and all subsequent constant snapping — is fitted on the inliers only,
 /// so a handful of hand-edited cells cannot drag the recovered policy.
-fn fit_partition(
-    ctx: &SearchContext<'_>,
-    tran_attrs: &[AttrRef],
-    rows: &[usize],
-) -> Option<(Transformation, f64)> {
+fn fit_leaf(ctx: &SearchContext<'_>, tran_attrs: &[AttrRef], rows: &[usize]) -> LeafModel {
+    let tolerance = ctx.config.change_tolerance;
+    if rows
+        .iter()
+        .all(|&r| (ctx.y_target[r] - ctx.y_source[r]).abs() <= tolerance)
+    {
+        return Some((Transformation::Identity, 0.0));
+    }
     let y: Vec<f64> = rows.iter().map(|&r| ctx.y_target[r]).collect();
     let full_cols = ctx.columns_for(tran_attrs).ok()?;
     // Per-partition row gathers (bounded by the partition size — the only
@@ -779,33 +913,25 @@ fn categorical_labels(table: &Table, attr: &AttrRef) -> Option<Vec<usize>> {
     Some(groups.labels)
 }
 
-/// Build conditional transformations from one labeling.
+/// Build conditional transformations from one labeling, whose tree is
+/// memoized under `tree_key`.
 fn cts_from_labels(
     ctx: &SearchContext<'_>,
     candidate: &Candidate,
+    tree_key: Option<TreeKey>,
+    tran_ids: &[AttrId],
     labels: &[usize],
 ) -> Result<Vec<ConditionalTransformation>> {
     let n = ctx.y_target.len();
-    let specs = induce_partitions(ctx.source(), &candidate.cond_attrs, labels, ctx.config)?;
-    let tolerance = ctx.config.change_tolerance;
+    let specs = ctx.partitions_for(tree_key, &candidate.cond_attrs, labels)?;
     let mut cts = Vec::with_capacity(specs.len());
     for spec in specs {
         if spec.rows.is_empty() {
             continue;
         }
-        // "No change" partitions get the identity transformation (the
-        // hatched rectangle in the paper's step 10).
-        let unchanged = spec
-            .rows
-            .iter()
-            .all(|&r| (ctx.y_target[r] - ctx.y_source[r]).abs() <= tolerance);
-        let (transformation, mae) = if unchanged {
-            (Transformation::Identity, 0.0)
-        } else {
-            match fit_partition(ctx, &candidate.tran_attrs, &spec.rows) {
-                Some(ft) => ft,
-                None => continue,
-            }
+        let model = ctx.leaf_model(&candidate.tran_attrs, tran_ids, &spec)?;
+        let Some((transformation, mae)) = model.as_ref().clone() else {
+            continue;
         };
         cts.push(ConditionalTransformation::new(
             spec.condition,
@@ -879,7 +1005,9 @@ fn evaluate_candidate_uncached(
     let scoring = ctx.scoring();
     let mut best: Option<(ChangeSummary, f64)> = None;
     let mut seen_labelings: Vec<Arc<Vec<usize>>> = Vec::new();
-    let mut labelings: Vec<Arc<Vec<usize>>> = Vec::new();
+    // Each labeling next to its memo key (`None` for an unresolved
+    // categorical attribute), which keys its tree.
+    let mut labelings: Vec<(Option<LabelingKey>, Arc<Vec<usize>>)> = Vec::new();
     // The change signals candidate partitions are mined from: the global
     // fit's residuals (the paper's method) plus the direct absolute and
     // relative deltas (precomputed once per run — when latent groups differ
@@ -893,25 +1021,42 @@ fn evaluate_candidate_uncached(
         .map(|a| a.id().ok_or_else(|| unresolved_attr(a)))
         .collect::<Result<_>>()?;
     let k = candidate.k;
-    labelings.push(ctx.labels_for(LabelingKey::Residual(tkey, k), &global.residuals, k)?);
-    labelings.push(ctx.labels_for(LabelingKey::Delta(k), &ctx.delta, k)?);
-    labelings.push(ctx.labels_for(LabelingKey::RelDelta(k), &ctx.rel_delta, k)?);
+    for (key, signal) in [
+        (
+            LabelingKey::Residual(tkey.clone(), k),
+            &global.residuals[..],
+        ),
+        (LabelingKey::Delta(k), &ctx.delta[..]),
+        (LabelingKey::RelDelta(k), &ctx.rel_delta[..]),
+    ] {
+        let labels = ctx.labels_for(&key, signal, k)?;
+        labelings.push((Some(key), labels));
+    }
     // For a single categorical condition attribute, the GROUP-BY-value
     // partitioning is an obvious candidate in its own right: when the
     // latent groups' change behaviours overlap in signal space (similar
     // slopes, wide value ranges), clustering cannot seed them, but a direct
     // per-value split still recovers them exactly.
     if let [attr] = candidate.cond_attrs.as_slice() {
-        labelings.extend(ctx.categorical_labels_for(attr)?);
+        if let Some(labels) = ctx.categorical_labels_for(attr)? {
+            labelings.push((attr.id().map(LabelingKey::Categorical), labels));
+        }
     }
-    for labels in labelings {
+    // Unresolved condition handles (hand-built candidates) bypass the tree
+    // and leaf memos, as they bypass the candidate memo.
+    let cond_ids: Option<Vec<AttrId>> = candidate.cond_attrs.iter().map(AttrRef::id).collect();
+    for (labeling, labels) in labelings {
         if seen_labelings
             .iter()
             .any(|seen| Arc::ptr_eq(seen, &labels) || **seen == *labels)
         {
             continue; // identical labeling ⇒ identical summary
         }
-        let cts = cts_from_labels(ctx, candidate, &labels)?;
+        let tree_key = cond_ids
+            .clone()
+            .zip(labeling)
+            .map(|(cond, labeling)| (ctx.target_id, cond, labeling));
+        let cts = cts_from_labels(ctx, candidate, tree_key, &tkey, &labels)?;
         seen_labelings.push(labels);
         if cts.is_empty() {
             continue;
@@ -1227,6 +1372,105 @@ mod tests {
                     assert_eq!(s.to_string(), n.to_string());
                 }
                 (s, n) => panic!("planes disagree: {s:?} vs {n:?}"),
+            }
+        }
+    }
+
+    /// The county payroll pair of the counter and differential tests,
+    /// with the benchmark's shortlisted query attributes.
+    fn county_pair(rows: usize, seed: u64) -> SnapshotPair {
+        let scenario = charles_synth::county(rows, seed);
+        SnapshotPair::align(scenario.source, scenario.target).unwrap()
+    }
+    const COUNTY_TARGET: &str = "base_salary";
+    const COUNTY_COND: [&str; 3] = ["department", "grade", "division"];
+    const COUNTY_TRAN: [&str; 2] = ["base_salary", "overtime_pay"];
+
+    fn county_candidates(pair: &SnapshotPair, config: &CharlesConfig) -> Vec<Candidate> {
+        generate_candidates(&refs(pair, &COUNTY_COND), &refs(pair, &COUNTY_TRAN), config)
+    }
+
+    /// Everything an evaluation outputs, floats by bit pattern.
+    fn fingerprint(summary: Option<ChangeSummary>) -> Option<(String, String, [u64; 3])> {
+        summary.map(|s| {
+            (
+                s.to_string(),
+                s.signature(),
+                [
+                    s.scores.score.to_bits(),
+                    s.scores.accuracy.to_bits(),
+                    s.scores.interpretability.to_bits(),
+                ],
+            )
+        })
+    }
+
+    /// Tree and leaf-model misses are deterministic work counters: pinned
+    /// for the one-thread shortlisted county query, repeated exactly by a
+    /// fresh session, and below what per-candidate planes compute.
+    #[test]
+    fn county_tree_and_leaf_counters_are_pinned() {
+        let pair = county_pair(600, 42);
+        let config = CharlesConfig::default().with_threads(1);
+        let query = crate::Query::new(COUNTY_TARGET)
+            .with_condition_attrs(COUNTY_COND)
+            .with_transform_attrs(COUNTY_TRAN);
+        let counters = || {
+            let session = crate::Session::open_with_config(pair.clone(), config.clone()).unwrap();
+            session.run(&query).unwrap();
+            let stats = session.stats();
+            (stats.trees_computed, stats.leaf_models_computed)
+        };
+        let shared = counters();
+        assert_eq!(shared, (145, 1066));
+        assert_eq!(counters(), shared, "a fresh session repeats the counts");
+
+        // One plane per candidate: no tree or leaf is shared across
+        // candidates, as before these memos.
+        let tran: Vec<String> = COUNTY_TRAN.iter().map(|t| t.to_string()).collect();
+        let mut unshared = (0, 0);
+        for candidate in county_candidates(&pair, &config) {
+            let ctx = SearchContext::new(&pair, COUNTY_TARGET, &tran, &config).unwrap();
+            evaluate_candidate(&ctx, &candidate).unwrap();
+            unshared.0 += ctx.caches.trees_computed();
+            unshared.1 += ctx.caches.leaf_models_computed();
+        }
+        assert!(
+            shared.0 < unshared.0 && shared.1 < unshared.1,
+            "shared {shared:?}, per-candidate {unshared:?}"
+        );
+    }
+
+    /// Whatever order fills the tree and leaf memos, every candidate's
+    /// summary equals the oracle's, which shares nothing across candidates.
+    #[test]
+    fn shared_memos_match_the_naive_oracle_in_either_order() {
+        let config = CharlesConfig::default().with_threads(1);
+        let tran: Vec<String> = COUNTY_TRAN.iter().map(|t| t.to_string()).collect();
+        for seed in 1..=3 {
+            let pair = county_pair(600, seed);
+            let candidates = county_candidates(&pair, &config);
+            let oracle: Vec<_> = candidates
+                .iter()
+                .map(|c| {
+                    fingerprint(evaluate_candidate_naive(&pair, COUNTY_TARGET, c, &config).unwrap())
+                })
+                .collect();
+            for reverse in [false, true] {
+                let ctx = SearchContext::new(&pair, COUNTY_TARGET, &tran, &config).unwrap();
+                let mut order: Vec<usize> = (0..candidates.len()).collect();
+                if reverse {
+                    order.reverse();
+                }
+                for i in order {
+                    let shared = fingerprint(evaluate_candidate(&ctx, &candidates[i]).unwrap());
+                    assert_eq!(
+                        shared, oracle[i],
+                        "seed {seed}, reverse {reverse}, candidate {:?}",
+                        candidates[i]
+                    );
+                }
+                assert!(ctx.caches.trees_computed() > 0);
             }
         }
     }

@@ -229,6 +229,10 @@ pub struct SessionStats {
     pub labelings_computed: usize,
     /// Candidate evaluations computed.
     pub candidates_computed: usize,
+    /// CART trees induced.
+    pub trees_computed: usize,
+    /// Leaf models computed (identity checks plus partition fits).
+    pub leaf_models_computed: usize,
 }
 
 /// The per-target slice of the data plane: target values aligned to source
@@ -265,8 +269,8 @@ pub struct Session {
     planes: Mutex<HashMap<AttrId, Arc<TargetPlane>>>,
     /// Setup reports per target (valid for the session config).
     setups: Mutex<HashMap<AttrId, Arc<SetupReport>>>,
-    /// Global fits, labelings, and evaluated candidates (valid for the
-    /// session config; see [`PlaneCaches`]).
+    /// Global fits, labelings, trees, leaf models, and evaluated
+    /// candidates (valid for the session config; see [`PlaneCaches`]).
     caches: Arc<PlaneCaches>,
     columns_extracted: AtomicUsize,
     planes_built: AtomicUsize,
@@ -310,9 +314,10 @@ impl Session {
     }
 
     /// Replace the session configuration. Caches that depend on it — setup
-    /// reports, global fits, labelings, evaluated candidates, and their
-    /// counters — are invalidated; the extracted column plane and the
-    /// per-target change signals survive (they are config-independent).
+    /// reports, global fits, labelings, trees, leaf models, evaluated
+    /// candidates, and their counters — are invalidated; the extracted
+    /// column plane and the per-target change signals survive (they are
+    /// config-independent).
     pub fn set_config(&mut self, config: CharlesConfig) {
         self.config = config;
         self.setups
@@ -388,6 +393,8 @@ impl Session {
             global_fits_computed: self.caches.fits_computed(),
             labelings_computed: self.caches.labelings_computed(),
             candidates_computed: self.caches.candidates_computed(),
+            trees_computed: self.caches.trees_computed(),
+            leaf_models_computed: self.caches.leaf_models_computed(),
         }
     }
 
@@ -453,10 +460,10 @@ impl Session {
         // Per-query config overrides get a private memo plane: the shared
         // caches are only valid for the session's own (search-relevant)
         // configuration. α and top-k overrides still share — α never
-        // affects fits or labelings, and top-k only truncates. Candidate
-        // *results* depend on α, though, so they are memoized only at the
-        // session's own α — otherwise a stream of distinct α queries would
-        // grow the candidate memo without bound.
+        // affects fits, labelings, trees or leaf models, and top-k only
+        // truncates. Candidate *results* depend on α, though, so they are
+        // memoized only at the session's own α — otherwise a stream of
+        // distinct α queries would grow the candidate memo without bound.
         let (caches, memoize_candidates) = if query.config.is_none() {
             (Arc::clone(&self.caches), config.alpha == self.config.alpha)
         } else {
@@ -927,9 +934,13 @@ mod tests {
         let warmed = session.stats();
         let shifted = session.run(&fig1_query().with_alpha(0.9)).unwrap();
         let after = session.stats();
-        // Fits and labelings are α-independent: fully reused.
+        // Fits, labelings, trees and leaf models are α-independent: fully
+        // reused, although every candidate is evaluated afresh.
+        assert!(warmed.trees_computed > 0 && warmed.leaf_models_computed > 0);
         assert_eq!(after.global_fits_computed, warmed.global_fits_computed);
         assert_eq!(after.labelings_computed, warmed.labelings_computed);
+        assert_eq!(after.trees_computed, warmed.trees_computed);
+        assert_eq!(after.leaf_models_computed, warmed.leaf_models_computed);
         // Candidate results are α-dependent; off-default-α runs compute
         // them afresh *without* filling the session memo (it would grow
         // unboundedly across a slider's worth of distinct α values).
@@ -941,6 +952,23 @@ mod tests {
         assert_eq!(
             session.stats().candidates_computed,
             warmed.candidates_computed
+        );
+    }
+
+    #[test]
+    fn plane_bytes_count_tree_and_leaf_memos() {
+        let session = Session::open(fig1_pair()).unwrap();
+        session.run(&fig1_query()).unwrap();
+        let stats = session.stats();
+        assert!(stats.trees_computed > 0 && stats.leaf_models_computed > 0);
+        let cold = session.approx_plane_bytes();
+        session.caches.forget_trees_and_leaves();
+        let without = session.approx_plane_bytes();
+        // Each tree costs at least its entry overhead, each leaf model its
+        // flat estimate.
+        assert!(
+            cold - without >= 64 * stats.trees_computed + 256 * stats.leaf_models_computed,
+            "cold {cold} B, without trees and leaves {without} B, {stats:?}"
         );
     }
 

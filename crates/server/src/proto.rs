@@ -76,6 +76,14 @@ fn need_usize(obj: &Json, key: &str) -> Decode<usize> {
         .ok_or_else(|| ProtoError::new(format!("field {key:?} must be a non-negative integer")))
 }
 
+/// A counter a peer may predate: absent decodes as 0.
+fn usize_or_zero(obj: &Json, key: &str) -> Decode<usize> {
+    match obj.get(key) {
+        None => Ok(0),
+        Some(_) => need_usize(obj, key),
+    }
+}
+
 fn opt_str_arr(obj: &Json, key: &str) -> Decode<Option<Vec<String>>> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -389,6 +397,11 @@ impl WireDatasetStats {
                             "candidates_computed",
                             Json::num_usize(s.candidates_computed),
                         ),
+                        ("trees_computed", Json::num_usize(s.trees_computed)),
+                        (
+                            "leaf_models_computed",
+                            Json::num_usize(s.leaf_models_computed),
+                        ),
                     ])
                 }),
             ),
@@ -406,6 +419,8 @@ impl WireDatasetStats {
                 global_fits_computed: need_usize(s, "global_fits_computed")?,
                 labelings_computed: need_usize(s, "labelings_computed")?,
                 candidates_computed: need_usize(s, "candidates_computed")?,
+                trees_computed: usize_or_zero(s, "trees_computed")?,
+                leaf_models_computed: usize_or_zero(s, "leaf_models_computed")?,
             }),
         };
         Ok(WireDatasetStats {
@@ -768,6 +783,8 @@ mod tests {
                 global_fits_computed: 9,
                 labelings_computed: 12,
                 candidates_computed: 40,
+                trees_computed: 30,
+                leaf_models_computed: 75,
             }),
         };
         let encoded = stats.to_json().encode();
@@ -787,6 +804,29 @@ mod tests {
             (decoded.opens, decoded.hits, decoded.approx_bytes),
             (1, 2, 64)
         );
+        // Peers predating the tree and leaf-model memos omit their
+        // counters; both decode as 0. A present key must still be a count.
+        let older_session = Json::parse(
+            r#"{"name":"x","resident":true,"opens":1,"hits":2,"evictions":0,"approx_bytes":64,"last_used_tick":3,"session":{"columns_extracted":5,"target_planes_built":1,"setup_reports_computed":1,"global_fits_computed":9,"labelings_computed":12,"candidates_computed":40}}"#,
+        )
+        .unwrap();
+        let session = WireDatasetStats::from_json(&older_session)
+            .unwrap()
+            .session
+            .unwrap();
+        assert_eq!(
+            (
+                session.candidates_computed,
+                session.trees_computed,
+                session.leaf_models_computed
+            ),
+            (40, 0, 0)
+        );
+        let bad = older_session.encode().replace(
+            r#""candidates_computed":40"#,
+            r#""candidates_computed":40,"trees_computed":"many""#,
+        );
+        assert!(WireDatasetStats::from_json(&Json::parse(&bad).unwrap()).is_err());
     }
 
     #[test]
